@@ -8,6 +8,7 @@ use crate::expr::PlanError;
 use crate::physical::ExecPlan;
 use crate::plan::LogicalPlan;
 use crate::planner::Planner;
+use crate::session::DriverPool;
 use parking_lot::{Mutex, RwLock};
 use rowstore::{Row, Schema};
 use sparklet::Cluster;
@@ -258,6 +259,8 @@ pub struct Context {
     /// DataFrame's standing-view manager) hang per-session singletons off
     /// the context without the engine crate knowing their types.
     extensions: Mutex<HashMap<&'static str, Arc<dyn Any + Send + Sync>>>,
+    /// Cached query-driver threads for [`Context::submit_sql`].
+    drivers: DriverPool,
 }
 
 /// RAII pin over the tables a running query scans: created at submit,
@@ -288,6 +291,7 @@ impl Context {
 
     pub fn with_config(cluster: Arc<Cluster>, config: ExecConfig) -> Arc<Context> {
         Arc::new(Context {
+            drivers: DriverPool::new(cluster.registry()),
             cluster,
             config,
             catalog: Mutex::new(HashMap::new()),
@@ -300,6 +304,10 @@ impl Context {
 
     pub fn cluster(&self) -> &Arc<Cluster> {
         &self.cluster
+    }
+
+    pub(crate) fn drivers(&self) -> &DriverPool {
+        &self.drivers
     }
 
     pub fn config(&self) -> &ExecConfig {

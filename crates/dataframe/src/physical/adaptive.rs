@@ -59,7 +59,7 @@ pub struct AdaptiveJoinExec {
 impl AdaptiveJoinExec {
     fn span(&self, ctx: &Arc<Context>, name: String) {
         let trace = ctx.cluster().trace();
-        trace.record(SpanRecord {
+        trace.record(|| SpanRecord {
             id: trace.next_span_id(),
             parent: trace.current_parent(),
             kind: SpanKind::Operator,

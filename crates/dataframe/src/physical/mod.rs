@@ -123,7 +123,7 @@ pub fn observe_operator_with<T>(
     let result = f();
     let dur = start.elapsed();
     trace.set_parent(parent);
-    trace.record(sparklet::SpanRecord {
+    trace.record(|| sparklet::SpanRecord {
         id: span_id,
         parent,
         kind: sparklet::SpanKind::Operator,

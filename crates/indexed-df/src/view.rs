@@ -324,7 +324,7 @@ impl ViewManager {
                 }
             }
         });
-        trace.record(SpanRecord {
+        trace.record(|| SpanRecord {
             id: trace.next_span_id(),
             parent: trace.current_parent(),
             kind: SpanKind::Operator,

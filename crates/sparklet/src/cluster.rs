@@ -2,14 +2,21 @@
 //! failure injection.
 //!
 //! A `Cluster` stands in for a Spark deployment. Each worker is a
-//! "machine" holding one or more *executors* (independent thread pools) and
-//! a block cache of materialized partitions. Tasks carry a preferred worker
-//! (data locality, §III-D); the scheduler honors it while the worker is
-//! alive and falls back to another worker otherwise — the situation that
-//! motivates the paper's partition *version numbers*, which the block cache
-//! implements.
+//! "machine" holding one or more *executors* of `cores_per_executor`
+//! threads each, and a block cache of materialized partitions. Tasks carry
+//! a preferred worker (data locality, §III-D); the scheduler honors it
+//! while the worker is alive and falls back to another worker otherwise —
+//! the situation that motivates the paper's partition *version numbers*,
+//! which the block cache implements.
 //!
-//! Substitution note (see DESIGN.md): workers are thread pools in one
+//! Thread model: every executor thread of a worker blocks on that worker's
+//! [`crate::scheduler`] fair queue and runs the fairest pending task, so a
+//! task dispatch is one queue push plus one condvar wake-up. Dropping the
+//! cluster shuts the queues down; the executor threads drain what is
+//! queued and exit (a drop that happens on an executor thread, because a
+//! task held the last `Arc<Cluster>`, skips joining itself).
+//!
+//! Substitution note (see DESIGN.md): workers are thread groups in one
 //! process, not machines. Failure injection drops a worker's cache and
 //! marks it unschedulable, which exercises exactly the recovery path the
 //! paper measures in Fig. 12 (lineage recomputation of lost indexed
@@ -17,16 +24,18 @@
 
 use crate::config::ClusterConfig;
 use crate::memory::{BlockCharge, EvictionPolicy, MemoryGovernor};
-use crate::metrics::{Metrics, Registry, SpanKind, SpanRecord, Trace};
-use crate::scheduler::{self, QueryId, QueryRef, Scheduler};
+use crate::metrics::{Counter, Histogram, Metrics, Registry, SpanKind, SpanRecord, Trace};
+use crate::scheduler::{self, FairQueue, QueryId, QueryRef, Scheduler};
 use parking_lot::Mutex;
 use std::any::Any;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 /// Identifies a cached partition of a dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,14 +54,30 @@ pub struct Block {
 }
 
 struct WorkerState {
-    executors: Vec<rayon::ThreadPool>,
     /// Shared with in-flight tasks so a completed attempt can detect that
     /// its worker was killed while it ran (the result is then discarded
     /// and the task retried elsewhere, as Spark does on executor loss).
     alive: Arc<AtomicBool>,
     cache: Mutex<HashMap<BlockId, Block>>,
-    /// Round-robin cursor over executors.
-    next_executor: AtomicUsize,
+    /// This worker's `task.queue_wait_ns` / `task.run_ns` histograms,
+    /// resolved once so a task records without a registry lookup.
+    queue_wait_ns: Arc<Histogram>,
+    run_ns: Arc<Histogram>,
+}
+
+thread_local! {
+    /// Index of the executor the current thread belongs to (within its
+    /// worker); 0 off executor threads.
+    static EXECUTOR: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Body of one executor thread: run the fairest task of `queue` until the
+/// queue is shut down and drained.
+fn executor_loop(queue: Arc<FairQueue>, executor: usize) {
+    EXECUTOR.with(|e| e.set(executor));
+    while let Some((task, cancelled)) = queue.next() {
+        task(cancelled);
+    }
 }
 
 /// A task to schedule: its index in the stage and its locality preference.
@@ -67,6 +92,7 @@ pub struct TaskSpec {
 pub struct TaskContext {
     pub partition: usize,
     pub worker: usize,
+    /// Executor (within the worker) whose thread ran the attempt.
     pub executor: usize,
     /// Whether the task missed its locality preference.
     pub non_local: bool,
@@ -187,6 +213,28 @@ pub struct Cluster {
     /// Serializes observability snapshots against resets (see
     /// [`Cluster::metrics_json`] / [`Cluster::reset_observability`]).
     obs: std::sync::Mutex<()>,
+    /// `stage.launched` / `stage.failed`, resolved once.
+    stage_launched: Arc<Counter>,
+    stage_failed: Arc<Counter>,
+    /// Every executor thread, joined on drop.
+    executors: Vec<JoinHandle<()>>,
+}
+
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        for w in 0..self.workers.len() {
+            self.scheduler.queue(w).shutdown();
+        }
+        let me = std::thread::current().id();
+        for handle in self.executors.drain(..) {
+            // A task may hold the last `Arc<Cluster>`, so this drop can run
+            // on one of the executor threads: joining it would deadlock.
+            // It exits on its own once its queue drains.
+            if handle.thread().id() != me {
+                let _ = handle.join();
+            }
+        }
+    }
 }
 
 impl Cluster {
@@ -199,25 +247,33 @@ impl Cluster {
             config.max_task_attempts > 0,
             "max_task_attempts must be at least 1"
         );
-        let workers = (0..config.workers)
-            .map(|_| WorkerState {
-                executors: (0..config.executors_per_worker)
-                    .map(|_| {
-                        rayon::ThreadPoolBuilder::new()
-                            .num_threads(config.cores_per_executor)
-                            .build()
-                            .expect("failed to build executor pool")
-                    })
-                    .collect(),
-                alive: Arc::new(AtomicBool::new(true)),
-                cache: Mutex::new(HashMap::new()),
-                next_executor: AtomicUsize::new(0),
-            })
-            .collect();
         let num_workers = config.workers;
         let registry = Arc::new(Registry::new(num_workers));
+        let workers = (0..num_workers)
+            .map(|w| WorkerState {
+                alive: Arc::new(AtomicBool::new(true)),
+                cache: Mutex::new(HashMap::new()),
+                queue_wait_ns: registry.histogram_on(Some(w), "task.queue_wait_ns"),
+                run_ns: registry.histogram_on(Some(w), "task.run_ns"),
+            })
+            .collect();
         let scheduler = Scheduler::new(num_workers, &registry);
         let memory = MemoryGovernor::new(&registry);
+        let stage_launched = registry.counter("stage.launched");
+        let stage_failed = registry.counter("stage.failed");
+        let mut executors = Vec::new();
+        for w in 0..num_workers {
+            for executor in 0..config.executors_per_worker {
+                for core in 0..config.cores_per_executor {
+                    let queue = Arc::clone(scheduler.queue(w));
+                    let handle = std::thread::Builder::new()
+                        .name(format!("sparklet-w{w}-e{executor}-c{core}"))
+                        .spawn(move || executor_loop(queue, executor))
+                        .expect("failed to spawn executor thread");
+                    executors.push(handle);
+                }
+            }
+        }
         let cluster = Arc::new(Cluster {
             config,
             workers,
@@ -229,6 +285,9 @@ impl Cluster {
             next_dataset: AtomicU64::new(1),
             fallback: AtomicUsize::new(0),
             obs: std::sync::Mutex::new(()),
+            stage_launched,
+            stage_failed,
+            executors,
         });
         // Sweep retirable dataset versions whenever a query releases its
         // admission slot: the last reader of a superseded version is gone
@@ -570,8 +629,8 @@ impl Cluster {
         Ok((w, spec.preferred_worker.is_some()))
     }
 
-    /// Run one stage fallibly: every task executes on its scheduled
-    /// worker's next executor pool inside `catch_unwind`, and results are
+    /// Run one stage fallibly: every task executes on one of its scheduled
+    /// worker's executor threads inside `catch_unwind`, and results are
     /// returned in task order. A failed attempt (panic, or worker killed
     /// while the task ran) is rescheduled onto another alive worker —
     /// excluding workers already observed failing that task — up to
@@ -600,7 +659,7 @@ impl Cluster {
 
     /// Run one stage on behalf of `query`: tasks are pushed into the
     /// per-worker fair queues and interleave with other queries' tasks on
-    /// the shared executor pools. Fails fast with
+    /// the shared executor threads. Fails fast with
     /// [`StageError::Cancelled`] if the query is cancelled at stage entry,
     /// at a dispatch, or while any of its attempts are still queued.
     pub fn run_stage_for<R, F>(
@@ -614,16 +673,16 @@ impl Cluster {
         F: Fn(TaskContext) -> R + Send + Sync + 'static,
     {
         self.metrics.stages.fetch_add(1, Relaxed);
-        self.registry.counter("stage.launched").inc();
+        self.stage_launched.inc();
         let span_id = self.trace.next_span_id();
         let parent = self.trace.current_parent();
         let start_us = self.trace.now_us();
         let start = std::time::Instant::now();
         let result = self.run_stage_inner(query, span_id, tasks, f);
         if result.is_err() {
-            self.registry.counter("stage.failed").inc();
+            self.stage_failed.inc();
         }
-        self.trace.record(SpanRecord {
+        self.trace.record(|| SpanRecord {
             id: span_id,
             parent,
             kind: SpanKind::Stage,
@@ -665,13 +724,7 @@ impl Cluster {
             }
             let (worker, non_local) = self.schedule_excluding(spec, exclude)?;
             let ws = &self.workers[worker];
-            let executor = ws.next_executor.fetch_add(1, Relaxed) % ws.executors.len();
-            let ctx = TaskContext {
-                partition: spec.partition,
-                worker,
-                executor,
-                non_local,
-            };
+            let partition = spec.partition;
             self.metrics.tasks.fetch_add(1, Relaxed);
             if non_local {
                 self.metrics.non_local_tasks.fetch_add(1, Relaxed);
@@ -679,10 +732,8 @@ impl Cluster {
             let f = Arc::clone(&f);
             let tx = tx.clone();
             let alive = Arc::clone(&ws.alive);
-            let queue_wait_hist = self
-                .registry
-                .histogram_on(Some(worker), "task.queue_wait_ns");
-            let run_hist = self.registry.histogram_on(Some(worker), "task.run_ns");
+            let queue_wait_hist = Arc::clone(&ws.queue_wait_ns);
+            let run_hist = Arc::clone(&ws.run_ns);
             let trace = Arc::clone(&self.trace);
             let task_span = trace.next_span_id();
             // Simulated driver→worker dispatch round-trip (serving
@@ -693,22 +744,24 @@ impl Cluster {
                 std::thread::sleep(std::time::Duration::from_nanos(rtt_ns));
             }
             let dispatched = std::time::Instant::now();
-            // The task goes into the worker's fair queue; the drainer job
-            // spawned into the executor pool pops the *fairest* pending
-            // task at run time (not necessarily this one), so tasks from
-            // different queries interleave on the shared pool.
+            // The task goes into the worker's fair queue; whichever of the
+            // worker's executor threads frees up first pops the *fairest*
+            // pending task (not necessarily this one), so tasks from
+            // different queries interleave on the shared threads.
             let task: Box<dyn FnOnce(bool) + Send> = Box::new(move |cancelled: bool| {
                 if cancelled {
                     // Popped after the owning query was cancelled: report
                     // without executing.
-                    let _ = tx.send((
-                        idx,
-                        ctx.worker,
-                        TaskResult::Failed(FailureReason::Cancelled),
-                    ));
+                    let _ = tx.send((idx, worker, TaskResult::Failed(FailureReason::Cancelled)));
                     return;
                 }
                 queue_wait_hist.record(dispatched.elapsed().as_nanos() as u64);
+                let ctx = TaskContext {
+                    partition,
+                    worker,
+                    executor: EXECUTOR.with(Cell::get),
+                    non_local,
+                };
                 let start_us = trace.now_us();
                 let run_start = std::time::Instant::now();
                 let outcome = match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
@@ -721,7 +774,7 @@ impl Cluster {
                     Ok(r) => TaskResult::Ok(r),
                 };
                 run_hist.record(run_start.elapsed().as_nanos() as u64);
-                trace.record(SpanRecord {
+                trace.record(|| SpanRecord {
                     id: task_span,
                     parent: stage_span,
                     kind: SpanKind::Task,
@@ -739,8 +792,6 @@ impl Cluster {
                 let _ = tx.send((idx, ctx.worker, outcome));
             });
             self.scheduler.enqueue(worker, query, task);
-            let queue = Arc::clone(self.scheduler.queue(worker));
-            ws.executors[executor].spawn(move || queue.drain_one());
             Ok(())
         };
 
@@ -1283,6 +1334,86 @@ mod tests {
             c.registry().counter_value("scheduler.interleaves") > 0,
             "tasks from distinct queries must interleave"
         );
+    }
+
+    /// Wait (bounded) until nothing but `weak` itself refers to the
+    /// queue: the scheduler and every executor thread have let go.
+    fn queue_released(weak: &std::sync::Weak<FairQueue>) -> bool {
+        for _ in 0..1000 {
+            if weak.strong_count() == 0 {
+                return true;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        false
+    }
+
+    #[test]
+    fn dropped_clusters_stop_their_executor_threads() {
+        for round in 0..40 {
+            let c = cluster();
+            assert_eq!(
+                c.run_partitions(6, |ctx| ctx.partition),
+                (0..6).collect::<Vec<_>>()
+            );
+            let weak = Arc::downgrade(c.scheduler().queue(round % 3));
+            drop(c);
+            // The drop joins every executor thread before returning.
+            assert_eq!(
+                weak.strong_count(),
+                0,
+                "round {round}: executors outlived the cluster"
+            );
+        }
+    }
+
+    #[test]
+    fn last_cluster_reference_dropped_inside_a_task() {
+        // Task 0 fails terminally, so the stage returns while task 1 still
+        // runs. Task 1's closure then holds the last `Arc<Cluster>`, and the
+        // cluster drops on an executor thread when that task finishes. The
+        // drop must not join its own thread, and every thread must exit.
+        for _ in 0..20 {
+            let c = Cluster::new(ClusterConfig {
+                workers: 1,
+                executors_per_worker: 1,
+                cores_per_executor: 2,
+                max_task_attempts: 1,
+                skew_ratio: 2.0,
+            });
+            let weak = Arc::downgrade(c.scheduler().queue(0));
+            let (started_tx, started_rx) = mpsc::channel::<()>();
+            let (release_tx, release_rx) = mpsc::channel::<()>();
+            let started_rx = std::sync::Mutex::new(started_rx);
+            let release_rx = std::sync::Mutex::new(release_rx);
+            let keep = Arc::clone(&c);
+            let err = c
+                .run_stage_partitions(2, move |ctx| {
+                    let _keep = &keep;
+                    if ctx.partition == 0 {
+                        started_rx.lock().unwrap().recv().unwrap();
+                        panic!("fail the stage while task 1 runs");
+                    }
+                    started_tx.send(()).unwrap();
+                    release_rx.lock().unwrap().recv().unwrap();
+                })
+                .unwrap_err();
+            assert!(matches!(err, StageError::TaskFailed { partition: 0, .. }));
+            drop(c);
+            assert!(
+                weak.strong_count() > 0,
+                "the running task keeps the cluster alive"
+            );
+            release_tx.send(()).unwrap();
+            assert!(queue_released(&weak), "executor threads did not exit");
+        }
+    }
+
+    #[test]
+    fn executor_index_is_within_the_worker() {
+        let c = cluster();
+        let out = c.run_partitions(48, |ctx| ctx.executor);
+        assert!(out.iter().all(|&e| e < 2), "{out:?}");
     }
 
     #[test]

@@ -9,9 +9,10 @@
 pub struct ClusterConfig {
     /// Number of worker "machines".
     pub workers: usize,
-    /// Executors per worker (each executor is an independent thread pool —
-    /// the paper's finding is that several small executors beat one big
-    /// one, Fig. 4).
+    /// Executors per worker (each executor is a group of
+    /// `cores_per_executor` threads serving the worker's task queue — the
+    /// paper's finding is that several small executors beat one big one,
+    /// Fig. 4).
     pub executors_per_worker: usize,
     /// Threads per executor.
     pub cores_per_executor: usize,

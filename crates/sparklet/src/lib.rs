@@ -6,8 +6,9 @@
 //! parts of Spark the paper's design actually interacts with, simulated in
 //! one process:
 //!
-//! * a [`Cluster`] of workers, each a set of executor thread pools
-//!   (configurable geometry — Fig. 4 and Fig. 6 sweep it);
+//! * a [`Cluster`] of workers, each a set of executors whose threads serve
+//!   the worker's fair task queue (configurable geometry — Fig. 4 and
+//!   Fig. 6 sweep it);
 //! * locality-aware task scheduling with fallback when a worker is dead or
 //!   busy (§III-D), and fallible stage execution ([`Cluster::run_stage`])
 //!   that retries failed task attempts on surviving workers;

@@ -18,7 +18,7 @@
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -556,6 +556,10 @@ pub struct Trace {
     next_id: AtomicU64,
     current_parent: AtomicU64,
     dropped: AtomicU64,
+    /// Set once `spans` reaches `cap` (cleared by `reset`): lets
+    /// [`Trace::record`] count a lost span without building it or taking
+    /// the buffer lock.
+    full: AtomicBool,
     cap: usize,
     spans: Mutex<Vec<SpanRecord>>,
 }
@@ -569,6 +573,7 @@ impl Trace {
             next_id: AtomicU64::new(1),
             current_parent: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
+            full: AtomicBool::new(cap == 0),
             cap,
             spans: Mutex::new(Vec::new()),
         }
@@ -593,13 +598,22 @@ impl Trace {
         self.current_parent.load(Relaxed)
     }
 
-    pub fn record(&self, rec: SpanRecord) {
-        let mut spans = self.spans.lock();
-        if spans.len() < self.cap {
-            spans.push(rec);
-        } else {
-            self.dropped.fetch_add(1, Relaxed);
+    /// Record the span `build` returns. `build` runs only if the buffer
+    /// still has room, so a full buffer costs one atomic load and one
+    /// increment of `dropped` per span, not a formatted name and a lock.
+    pub fn record(&self, build: impl FnOnce() -> SpanRecord) {
+        if !self.full.load(Relaxed) {
+            let rec = build();
+            let mut spans = self.spans.lock();
+            if spans.len() < self.cap {
+                spans.push(rec);
+                if spans.len() == self.cap {
+                    self.full.store(true, Relaxed);
+                }
+                return;
+            }
         }
+        self.dropped.fetch_add(1, Relaxed);
     }
 
     pub fn spans(&self) -> Vec<SpanRecord> {
@@ -619,7 +633,10 @@ impl Trace {
     }
 
     pub fn reset(&self) {
-        self.spans.lock().clear();
+        let mut spans = self.spans.lock();
+        spans.clear();
+        self.full.store(self.cap == 0, Relaxed);
+        drop(spans);
         self.dropped.store(0, Relaxed);
         self.current_parent.store(0, Relaxed);
     }
@@ -910,23 +927,34 @@ mod tests {
     #[test]
     fn trace_caps_and_counts_drops() {
         let t = Trace::new(2);
-        for i in 0..4 {
-            t.record(SpanRecord {
-                id: t.next_span_id(),
-                parent: 0,
-                kind: SpanKind::Stage,
-                name: format!("s{i}"),
-                start_us: t.now_us(),
-                dur_us: 1,
-                worker: -1,
-                partition: -1,
-            });
+        let built = std::cell::Cell::new(0);
+        let record = |i: usize| {
+            t.record(|| {
+                built.set(built.get() + 1);
+                SpanRecord {
+                    id: t.next_span_id(),
+                    parent: 0,
+                    kind: SpanKind::Stage,
+                    name: format!("s{i}"),
+                    start_us: t.now_us(),
+                    dur_us: 1,
+                    worker: -1,
+                    partition: -1,
+                }
+            })
+        };
+        for i in 0..5 {
+            record(i);
         }
         assert_eq!(t.len(), 2);
-        assert_eq!(t.dropped(), 2);
+        assert_eq!(t.dropped(), 3, "every lost span is counted");
+        assert_eq!(built.get(), 2, "only kept spans are built");
         t.reset();
         assert!(t.is_empty());
         assert_eq!(t.dropped(), 0);
+        record(5);
+        assert_eq!(t.len(), 1, "reset makes room again");
+        assert_eq!(built.get(), 3);
     }
 
     #[test]

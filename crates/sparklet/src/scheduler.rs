@@ -6,10 +6,11 @@
 //! [`crate::Cluster`] into a shared substrate for *concurrent tenants*:
 //!
 //! * every stage is submitted on behalf of a [`QueryRef`]; tasks are
-//!   pushed into a per-worker [`FairQueue`] instead of straight into the
-//!   executor pools, and a *drainer* job spawned into the pool pops the
-//!   fairest pending task at run time — so tasks from different queries
-//!   interleave on the shared executor threads;
+//!   pushed into a per-worker [`FairQueue`], and that worker's executor
+//!   threads (`executors_per_worker × cores_per_executor` of them) block
+//!   on the queue's condvar and each pop the fairest pending task — so
+//!   tasks from different queries interleave on the shared executor
+//!   threads, and a push costs one `notify_one`, not a pool hand-off;
 //! * fairness is deficit weighted round-robin across queries: each query
 //!   gets `weight` consecutive pops before the queue rotates to the next
 //!   query with pending tasks;
@@ -18,8 +19,8 @@
 //!   excess submissions wait on a condvar or are rejected synchronously
 //!   with the typed [`AdmitError::QueueFull`];
 //! * cancellation is cooperative: [`QueryRef::cancel`] flips a flag that
-//!   is observed at stage entry, at task dispatch, and by drainers (a
-//!   queued task of a cancelled query is *not* executed — it reports
+//!   is observed at stage entry, at task dispatch, and at pop (a queued
+//!   task of a cancelled query is *not* executed — it reports
 //!   [`crate::FailureReason::Cancelled`] and the stage driver surfaces
 //!   [`crate::StageError::Cancelled`]). Tasks already running are allowed
 //!   to finish; cancellation granularity is the task boundary.
@@ -286,13 +287,18 @@ struct FairState {
     ring: VecDeque<PerQuery>,
     /// Query served by the previous pop (interleaving accounting).
     last_popped: Option<QueryId>,
+    /// Set once by [`FairQueue::shutdown`]: executors drain what is
+    /// queued, then exit.
+    shutdown: bool,
 }
 
 /// Deficit-weighted-round-robin task queue for one worker. Tasks are
 /// FIFO *within* a query; *across* queries the front query is served
-/// `weight` consecutive tasks, then the ring rotates.
+/// `weight` consecutive tasks, then the ring rotates. The worker's
+/// executor threads block in [`FairQueue::next`]; each push wakes one.
 pub(crate) struct FairQueue {
     state: Mutex<FairState>,
+    ready: Condvar,
     /// Pops where the served query differs from the previous pop — direct
     /// evidence of cross-query interleaving on the shared pool.
     interleaves: Arc<Counter>,
@@ -302,6 +308,7 @@ impl FairQueue {
     fn new(interleaves: Arc<Counter>) -> FairQueue {
         FairQueue {
             state: Mutex::new(FairState::default()),
+            ready: Condvar::new(),
             interleaves,
         }
     }
@@ -319,12 +326,13 @@ impl FairQueue {
                 tasks,
             });
         }
+        drop(st);
+        self.ready.notify_one();
     }
 
     /// Pop the fairest pending task, if any, with its query's
     /// cancellation state sampled at pop time.
-    fn pop(&self) -> Option<(QueuedTask, bool)> {
-        let mut st = self.state.lock().unwrap();
+    fn pop(&self, st: &mut FairState) -> Option<(QueuedTask, bool)> {
         loop {
             let front = st.ring.front_mut()?;
             let Some(task) = front.tasks.pop_front() else {
@@ -352,12 +360,27 @@ impl FairQueue {
         }
     }
 
-    /// Run one queued task, if any. Spawned into executor pools as the
-    /// "drainer": one drainer per pushed task guarantees every task runs.
-    pub(crate) fn drain_one(&self) {
-        if let Some((task, cancelled)) = self.pop() {
-            task(cancelled);
+    /// Block until a task is pending and pop the fairest one. `None` once
+    /// the queue is shut down and drained: the executor thread exits.
+    pub(crate) fn next(&self) -> Option<(QueuedTask, bool)> {
+        let mut st = self.state.lock().unwrap();
+        loop {
+            if let Some(popped) = self.pop(&mut st) {
+                return Some(popped);
+            }
+            if st.shutdown {
+                return None;
+            }
+            st = self.ready.wait(st).unwrap();
         }
+    }
+
+    /// Wake every executor blocked in [`FairQueue::next`] for exit. The
+    /// flag is set under the queue lock, so no executor can check it and
+    /// then miss the wake-up.
+    pub(crate) fn shutdown(&self) {
+        self.state.lock().unwrap().shutdown = true;
+        self.ready.notify_all();
     }
 }
 
@@ -588,7 +611,8 @@ mod tests {
             }
         }
         for _ in 0..8 {
-            s.queue(0).drain_one();
+            let (task, cancelled) = s.queue(0).next().expect("task queued");
+            task(cancelled);
         }
         let got: String = order.lock().unwrap().iter().collect();
         assert_eq!(got, "AABAABBB");
@@ -613,9 +637,33 @@ mod tests {
             }),
         );
         q.cancel();
-        s.queue(0).drain_one();
+        let (task, cancelled) = s.queue(0).next().expect("task queued");
+        assert!(cancelled, "cancellation is sampled at pop");
+        task(cancelled);
         assert!(!ran.load(Relaxed), "cancelled task must not execute");
         assert!(saw_cancel.load(Relaxed));
+    }
+
+    #[test]
+    fn shutdown_drains_then_releases_blocked_executors() {
+        let (s, _r) = scheduler(1);
+        let queue = Arc::clone(s.queue(0));
+        let blocked = {
+            let queue = Arc::clone(&queue);
+            std::thread::spawn(move || {
+                let mut ran = 0;
+                while let Some((task, cancelled)) = queue.next() {
+                    task(cancelled);
+                    ran += 1;
+                }
+                ran
+            })
+        };
+        let q = s.new_query(1);
+        s.enqueue(0, &q, Box::new(|_| ()));
+        queue.shutdown();
+        assert_eq!(blocked.join().unwrap(), 1, "queued work runs before exit");
+        assert!(queue.next().is_none());
     }
 
     #[test]

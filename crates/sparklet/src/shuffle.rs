@@ -733,7 +733,7 @@ fn record_reduce_plan_decisions(cluster: &Cluster, plan: &[ReduceTask], stats: &
             }
             ReduceTask::Whole { parts } if parts.len() > 1 => {
                 reg.counter("adaptive.coalesces").inc();
-                trace.record(SpanRecord {
+                trace.record(|| SpanRecord {
                     id: trace.next_span_id(),
                     parent,
                     kind: SpanKind::Operator,
@@ -759,7 +759,7 @@ fn record_reduce_plan_decisions(cluster: &Cluster, plan: &[ReduceTask], stats: &
             .iter()
             .filter(|t| matches!(t, ReduceTask::Slice { part: p, .. } if *p == part))
             .count();
-        trace.record(SpanRecord {
+        trace.record(|| SpanRecord {
             id: trace.next_span_id(),
             parent,
             kind: SpanKind::Operator,

@@ -354,6 +354,23 @@ fn session_metrics_cover_every_admission_outcome() {
     assert_eq!(exec.count, 3, "one exec-latency sample per session");
     assert!(exec.sum > 0, "execution took measurable time");
 
+    // Caller-runs: a client that waits right after submitting runs its
+    // query inline instead of handing it to a pool driver. Either way
+    // each admitted session records both latencies exactly once.
+    for k in 0..20 {
+        let h = ctx
+            .submit_sql(&format!("SELECT * FROM edges WHERE k = {k}"))
+            .unwrap();
+        assert_eq!(h.wait().unwrap().len(), 50);
+    }
+    assert!(registry.counter_value("session.inline_runs") > 0);
+    assert_eq!(registry.counter_value("session.admitted"), 23);
+    for name in ["session.queue_ns", "session.exec_ns"] {
+        let count = registry.histogram_snapshot(name).unwrap().count;
+        assert_eq!(count, 23, "{name}: one sample per admitted session");
+    }
+    assert!(registry.gauge_value("session.driver_threads") >= 1);
+
     // Rejected: a full wait queue turns the submit into a typed error.
     let scheduler = cluster.scheduler();
     scheduler.set_admission_limits(1, 0);
@@ -372,9 +389,11 @@ fn session_metrics_cover_every_admission_outcome() {
     assert_eq!(registry.counter_value("session.cancelled"), 1);
     assert_eq!(registry.counter_value("session.rejected"), 1, "unchanged");
 
-    // All five series travel in the metrics document.
+    // Every series travels in the metrics document.
     let json = cluster.metrics_json();
     for needle in [
+        "\"session.inline_runs\"",
+        "\"session.driver_threads\"",
         "\"session.admitted\"",
         "\"session.rejected\"",
         "\"session.cancelled\"",
