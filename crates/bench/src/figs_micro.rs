@@ -65,7 +65,7 @@ pub fn fig1(opts: &Opts) {
 
         println!("{system}: query  total_ms  build_ms  shuffle_ms  probe_ms  scan_ms  bcast_MB");
         for q in 1..=5 {
-            let before = ctx.cluster().metrics().snapshot();
+            let before = ctx.cluster().registry().merged();
             let (dur, n) = time_once(|| {
                 edges_df
                     .clone()
@@ -73,13 +73,13 @@ pub fn fig1(opts: &Opts) {
                     .count()
                     .unwrap()
             });
-            let d = ctx.cluster().metrics().snapshot().delta_since(&before);
+            let d = ctx.cluster().registry().merged().counters_since(&before);
             let (total, build_ms, shuffle_ms, probe_ms, bcast) = (
                 dur.as_secs_f64() * 1e3,
-                (d.build_ns + d.recompute_ns) as f64 / 1e6,
-                d.shuffle_ns as f64 / 1e6,
-                d.probe_ns as f64 / 1e6,
-                d.broadcast_bytes as f64 / 1e6,
+                (d["phase.build_ns"] + d["phase.recompute_ns"]) as f64 / 1e6,
+                d["phase.shuffle_ns"] as f64 / 1e6,
+                d["phase.probe_ns"] as f64 / 1e6,
+                d["broadcast.bytes"] as f64 / 1e6,
             );
             // The remainder is table scanning / row materialization — the
             // part vanilla Spark re-pays on every query.

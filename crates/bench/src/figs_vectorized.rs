@@ -8,7 +8,7 @@
 //!   `FilterExec`, per-row clones in `ProjectExec` (the pre-vectorization
 //!   plan shape);
 //! * `pushdown` — `ColumnarScanExec` with predicate/projection pushdown:
-//!   still row-at-a-time (`eval_columnar`), but decodes only referenced
+//!   still row-at-a-time (`BoundExpr::eval_with`), but decodes only referenced
 //!   columns;
 //! * `fused`    — `ColumnarPipelineExec`: predicate → selection vector via
 //!   batch kernels, then a gather of only the projected columns.

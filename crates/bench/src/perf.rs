@@ -133,7 +133,7 @@ mod tests {
         let content = std::fs::read_to_string(dir.join("BENCH_unit.json")).unwrap();
         assert!(content.starts_with("{\"schema\":\"bench-perf-v1\""));
         assert!(content.contains("\"figure\":\"unit\""));
-        assert!(content.contains("\"cluster\":{\"schema\":\"sparklet-metrics-v1\""));
+        assert!(content.contains("\"cluster\":{\"schema\":\"sparklet-metrics-v2\""));
         assert!(content.contains("\"x\":3"));
         assert!(content.contains("\"extras\":{\"speedup\":1.500000}"));
         let _ = std::fs::remove_dir_all(dir);

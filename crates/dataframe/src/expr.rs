@@ -6,7 +6,6 @@
 //! rows or columnar partitions. Comparison and logical operators follow SQL
 //! three-valued logic (nulls propagate; filters keep only `TRUE`).
 
-use crate::column::ColumnarPartition;
 use rowstore::{Schema, Value};
 use std::cmp::Ordering;
 use std::fmt;
@@ -293,51 +292,23 @@ impl BoundExpr {
 
     /// Evaluate against a materialized row.
     pub fn eval_row(&self, row: &[Value]) -> Value {
+        self.eval_with(&|i| row[i].clone())
+    }
+
+    /// Evaluate one row whose column `i` reads as `col(i)`: the scalar
+    /// tree walk shared by every row representation. Columnar callers
+    /// pass `|c| part.column(c).value(i)` and codec-encoded rows a
+    /// single-column decode, so only referenced columns are touched.
+    pub fn eval_with<F: Fn(usize) -> Value>(&self, col: &F) -> Value {
         match self {
-            BoundExpr::Col(i) => row[*i].clone(),
+            BoundExpr::Col(i) => col(*i),
             BoundExpr::Lit(v) => v.clone(),
             BoundExpr::Binary { left, op, right } => {
-                eval_binary(left.eval_row(row), *op, right.eval_row(row))
+                eval_binary(left.eval_with(col), *op, right.eval_with(col))
             }
-            BoundExpr::Not(e) => eval_not(e.eval_row(row)),
-            BoundExpr::IsNull(e) => Value::Bool(e.eval_row(row).is_null()),
-            BoundExpr::IsNotNull(e) => Value::Bool(!e.eval_row(row).is_null()),
-        }
-    }
-
-    /// Evaluate against row `i` of a columnar partition, touching only the
-    /// referenced columns (the columnar fast path).
-    pub fn eval_columnar(&self, part: &ColumnarPartition, i: usize) -> Value {
-        match self {
-            BoundExpr::Col(c) => part.column(*c).value(i),
-            BoundExpr::Lit(v) => v.clone(),
-            BoundExpr::Binary { left, op, right } => eval_binary(
-                left.eval_columnar(part, i),
-                *op,
-                right.eval_columnar(part, i),
-            ),
-            BoundExpr::Not(e) => eval_not(e.eval_columnar(part, i)),
-            BoundExpr::IsNull(e) => Value::Bool(e.eval_columnar(part, i).is_null()),
-            BoundExpr::IsNotNull(e) => Value::Bool(!e.eval_columnar(part, i).is_null()),
-        }
-    }
-
-    /// Evaluate against a codec-encoded row, decoding only the referenced
-    /// columns (the row-store filter fast path: no full materialization).
-    pub fn eval_encoded(&self, schema: &Schema, bytes: &[u8]) -> Value {
-        match self {
-            BoundExpr::Col(i) => {
-                rowstore::codec::decode_column(schema, bytes, *i).unwrap_or(Value::Null)
-            }
-            BoundExpr::Lit(v) => v.clone(),
-            BoundExpr::Binary { left, op, right } => eval_binary(
-                left.eval_encoded(schema, bytes),
-                *op,
-                right.eval_encoded(schema, bytes),
-            ),
-            BoundExpr::Not(e) => eval_not(e.eval_encoded(schema, bytes)),
-            BoundExpr::IsNull(e) => Value::Bool(e.eval_encoded(schema, bytes).is_null()),
-            BoundExpr::IsNotNull(e) => Value::Bool(!e.eval_encoded(schema, bytes).is_null()),
+            BoundExpr::Not(e) => eval_not(e.eval_with(col)),
+            BoundExpr::IsNull(e) => Value::Bool(e.eval_with(col).is_null()),
+            BoundExpr::IsNotNull(e) => Value::Bool(!e.eval_with(col).is_null()),
         }
     }
 
@@ -345,18 +316,6 @@ impl BoundExpr {
     #[inline]
     pub fn is_true(v: &Value) -> bool {
         matches!(v, Value::Bool(true))
-    }
-
-    /// Vectorized evaluation: one dense output slot per row selected by
-    /// `sel`, computed by typed batch kernels instead of a per-row tree
-    /// walk. Semantics match `eval_row` exactly (see [`crate::vector`]);
-    /// callers must have checked [`BoundExpr::batch_compatible`].
-    pub fn eval_batch(
-        &self,
-        part: &ColumnarPartition,
-        sel: &crate::vector::SelVec,
-    ) -> crate::column::ColumnVec {
-        crate::vector::eval_batch(self, part, sel)
     }
 
     /// Whether the batch kernels cover this expression against `schema`.
@@ -445,6 +404,7 @@ fn arith(l: Value, op: BinOp, r: Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::ColumnarPartition;
     use rowstore::{DataType, Field};
     use std::sync::Arc;
 
@@ -572,7 +532,8 @@ mod tests {
         for e in exprs {
             let b = BoundExpr::bind(&e, &s).unwrap();
             for (i, r) in rows.iter().enumerate() {
-                assert_eq!(b.eval_row(r), b.eval_columnar(&part, i), "expr {e} row {i}");
+                let columnar = b.eval_with(&|c| part.column(c).value(i));
+                assert_eq!(b.eval_row(r), columnar, "expr {e} row {i}");
             }
         }
     }

@@ -17,7 +17,6 @@ use crate::physical::{
     count_rows, describe_node, observe_operator, ExecError, ExecPlan, KeyWrap, Partitions,
 };
 use rowstore::{Row, Schema, Value};
-use sparklet::metrics::Metrics;
 use sparklet::ShuffleItem;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -95,12 +94,12 @@ pub(crate) fn broadcast_hash_core(
     probe_key: usize,
     build_is_left: bool,
 ) -> Result<Partitions, ExecError> {
-    let metrics = ctx.cluster().metrics();
+    let registry = ctx.cluster().registry();
     let build_rows = count_rows(&build_parts) as usize;
     let probe_parts = Arc::new(probe_parts);
 
     // Build phase: collect + hash the build side.
-    let table = Metrics::timed(&metrics.build_ns, || {
+    let table = registry.counter("phase.build_ns").time(|| {
         Arc::new(build_table(
             build_parts.into_iter().flatten(),
             build_key,
@@ -121,7 +120,8 @@ pub(crate) fn broadcast_hash_core(
     // Probe phase: local hash lookups per probe partition.
     let probe_parts2 = Arc::clone(&probe_parts);
     let table2 = Arc::clone(&table);
-    Metrics::timed(&metrics.probe_ns, || {
+    let probe_ns = registry.counter("phase.probe_ns");
+    Ok(probe_ns.time(|| {
         ctx.cluster()
             .run_stage_partitions(probe_parts.len(), move |tc| {
                 let mut out = Vec::new();
@@ -142,8 +142,7 @@ pub(crate) fn broadcast_hash_core(
                 }
                 out
             })
-    })
-    .map_err(ExecError::from)
+    })?)
 }
 
 /// Broadcast-hash join: the build side is collected, hashed once on the
@@ -295,8 +294,8 @@ pub(crate) fn shuffled_probe_core(
 ) -> Result<Partitions, ExecError> {
     let p = left_shuffled.len();
     assert_eq!(p, right_shuffled.len());
-    let metrics = ctx.cluster().metrics();
-    Metrics::timed(&metrics.probe_ns, || {
+    let probe_ns = ctx.cluster().registry().counter("phase.probe_ns");
+    Ok(probe_ns.time(|| {
         ctx.cluster().run_stage_partitions(p, move |tc| {
             let (build_rows, probe_rows, build_key, probe_key) = if build_left {
                 (
@@ -328,8 +327,7 @@ pub(crate) fn shuffled_probe_core(
             }
             out
         })
-    })
-    .map_err(ExecError::from)
+    })?)
 }
 
 /// Sort-merge join: shuffle, sort both sides per partition, merge equal
@@ -360,8 +358,8 @@ pub(crate) fn sort_merge_probe_core(
 ) -> Result<Partitions, ExecError> {
     let p = left_shuffled.len();
     assert_eq!(p, right_shuffled.len());
-    let metrics = ctx.cluster().metrics();
-    Metrics::timed(&metrics.probe_ns, || {
+    let probe_ns = ctx.cluster().registry().counter("phase.probe_ns");
+    Ok(probe_ns.time(|| {
         let ls = Arc::clone(&left_shuffled);
         let rs = Arc::clone(&right_shuffled);
         ctx.cluster().run_stage_partitions(p, move |tc| {
@@ -399,8 +397,7 @@ pub(crate) fn sort_merge_probe_core(
             }
             out
         })
-    })
-    .map_err(ExecError::from)
+    })?)
 }
 
 impl ExecPlan for SortMergeJoinExec {
@@ -534,9 +531,9 @@ mod tests {
         let got = gather(j.execute(&ctx).unwrap());
         assert_eq!(got.len(), 20, "10..20 twice on the left");
         assert_eq!(sorted(got), sorted(expected()));
-        let m = ctx.cluster().metrics().snapshot();
-        assert!(m.build_ns > 0 && m.probe_ns > 0);
-        assert!(m.broadcast_bytes > 0);
+        let r = ctx.cluster().registry();
+        assert!(r.counter_value("phase.build_ns") > 0 && r.counter_value("phase.probe_ns") > 0);
+        assert!(r.counter_value("broadcast.bytes") > 0);
     }
 
     #[test]
@@ -572,8 +569,10 @@ mod tests {
         };
         let got = gather(j.execute(&ctx).unwrap());
         assert_eq!(sorted(got), sorted(expected()));
-        let m = ctx.cluster().metrics().snapshot();
-        assert!(m.shuffle_rows > 0, "shuffled join must shuffle");
+        assert!(
+            ctx.cluster().registry().counter_value("shuffle.rows") > 0,
+            "shuffled join must shuffle"
+        );
     }
 
     #[test]

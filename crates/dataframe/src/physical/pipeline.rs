@@ -20,7 +20,7 @@ use crate::physical::{
     count_path, describe_node, observe_operator, observe_operator_with, ExecError, ExecPlan,
     Partitions,
 };
-use crate::vector::{filter_into_sel, SelVec};
+use crate::vector::{eval_batch, filter_into_sel, SelVec};
 use rowstore::Schema;
 use std::sync::Arc;
 
@@ -143,7 +143,7 @@ impl ExecPlan for ColumnarPipelineExec {
                             .collect(),
                         Projection::Exprs(exprs) => {
                             let cols: Vec<ColumnVec> =
-                                exprs.iter().map(|e| e.eval_batch(&part, &sel)).collect();
+                                exprs.iter().map(|e| eval_batch(e, &part, &sel)).collect();
                             (0..sel.len())
                                 .map(|j| cols.iter().map(|c| c.value(j)).collect())
                                 .collect()
@@ -189,7 +189,7 @@ impl ExecPlan for ColumnarPipelineExec {
                                 part.gather_project(sel.indices(), Some(cols))
                             }
                             Projection::Exprs(exprs) => ColumnarPartition::from_columns(
-                                exprs.iter().map(|e| e.eval_batch(&part, &sel)).collect(),
+                                exprs.iter().map(|e| eval_batch(e, &part, &sel)).collect(),
                             ),
                         })
                     })?)

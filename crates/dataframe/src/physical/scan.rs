@@ -65,7 +65,7 @@ impl ExecPlan for ColumnarScanExec {
                     let mut out = Vec::new();
                     for i in 0..n {
                         if let Some(pred) = &predicate {
-                            if !BoundExpr::is_true(&pred.eval_columnar(part, i)) {
+                            if !BoundExpr::is_true(&pred.eval_with(&|c| part.column(c).value(i))) {
                                 continue;
                             }
                         }

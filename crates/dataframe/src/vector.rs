@@ -609,14 +609,14 @@ mod tests {
         assert!(b.batch_compatible(&s), "{e} should be kernel-covered");
         // Full selection.
         let sel = SelVec::identity(rows.len());
-        let out = b.eval_batch(&part, &sel);
+        let out = eval_batch(&b, &part, &sel);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(out.value(i), b.eval_row(r), "expr {e} row {i}");
         }
         // Sparse selection: every third row, reversed storage order is not
         // required — SelVec is ascending here but non-contiguous.
         let sparse = SelVec::from_indices((0..rows.len() as u32).step_by(3).collect());
-        let out = b.eval_batch(&part, &sparse);
+        let out = eval_batch(&b, &part, &sparse);
         for (j, &i) in sparse.indices().iter().enumerate() {
             assert_eq!(
                 out.value(j),
@@ -677,7 +677,7 @@ mod tests {
         ];
         let part = ColumnarPartition::from_rows(&s, &rows);
         let b = BoundExpr::bind(&col("x").lt(lit(2.0)), &s).unwrap();
-        let out = b.eval_batch(&part, &SelVec::identity(3));
+        let out = eval_batch(&b, &part, &SelVec::identity(3));
         assert_eq!(out.value(0), Value::Null, "NaN compare is null");
         assert_eq!(out.value(1), Value::Bool(true));
         assert_eq!(out.value(2), Value::Null);

@@ -270,7 +270,7 @@ impl TableProvider for ColumnarIndexedTable {
         let mut out = Vec::new();
         for i in 0..n {
             if let Some(pred) = predicate {
-                if !BoundExpr::is_true(&pred.eval_columnar(&p.columns, i)) {
+                if !BoundExpr::is_true(&pred.eval_with(&|c| p.columns.column(c).value(i))) {
                     continue;
                 }
             }

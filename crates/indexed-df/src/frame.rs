@@ -18,9 +18,7 @@ use crate::partition::IndexedPartition;
 use crate::source::{InMemorySource, ReplayableSource};
 use dataframe::{Context, DataFrame, PlanError};
 use rowstore::{BlockReader, BlockWriter, Row, Schema, StoreConfig, Value};
-use sparklet::metrics::Metrics;
-use sparklet::{partition_of, BlockCharge, BlockId, Cluster, StageError, TaskSpec};
-use std::sync::atomic::Ordering::Relaxed;
+use sparklet::{partition_of, BlockCharge, BlockId, Cluster, Counter, StageError, TaskSpec};
 use std::sync::Arc;
 
 /// How an Indexed DataFrame version came to be (its lineage).
@@ -65,6 +63,9 @@ pub(crate) struct IdfInner {
     buckets: parking_lot::Mutex<Option<Arc<Vec<Vec<Row>>>>>,
     /// Serializes bucket fills (lazy and materialize-side) across queries.
     build_lock: parking_lot::Mutex<()>,
+    /// `phase.probe_ns`, resolved once so a point lookup adds no registry
+    /// lookup.
+    probe_ns: Arc<Counter>,
 }
 
 impl IdfInner {
@@ -106,9 +107,8 @@ impl IdfInner {
         // the governor's spill image if one exists; fall back to lineage
         // recompute (Fig. 12's recovery) if there is none or it was lost.
         registry.counter("index.cache.misses").inc();
-        let metrics = cluster.metrics();
         let start = std::time::Instant::now();
-        let part = Metrics::timed(&metrics.recompute_ns, || {
+        let part = registry.counter("phase.recompute_ns").time(|| {
             Arc::new(
                 cluster
                     .memory()
@@ -312,7 +312,6 @@ impl IdfInner {
     /// dead cluster) surfaces as an error.
     pub(crate) fn materialize(self: &Arc<Self>) -> Result<(), StageError> {
         let cluster = self.ctx.cluster();
-        let metrics = cluster.metrics();
         let p = self.num_partitions;
 
         let missing: Vec<usize> = (0..p)
@@ -411,7 +410,7 @@ impl IdfInner {
             })
             .collect();
         let weights: Vec<u64> = (0..p).map(|i| shuffled[i].len() as u64).collect();
-        Metrics::timed(&metrics.build_ns, || {
+        cluster.registry().counter("phase.build_ns").time(|| {
             cluster.run_stage_weighted(&tasks, &weights, move |tc| {
                 let pidx = tc.partition;
                 let start = std::time::Instant::now();
@@ -606,21 +605,23 @@ impl IndexedDataFrame {
     pub fn get_rows(&self, key: &Value) -> Result<Vec<Row>, StageError> {
         let p = partition_of(key.key_hash(), self.inner.num_partitions);
         let cluster = self.inner.ctx.cluster();
-        let metrics = cluster.metrics();
         let inner = Arc::clone(&self.inner);
         let key = key.clone();
         let task = TaskSpec {
             partition: p,
             preferred_worker: Some(self.inner.home_worker(p)),
         };
-        let rows = Metrics::timed(&metrics.probe_ns, || {
-            cluster.run_stage(&[task], move |tc| {
-                let _ = tc;
-                inner.get_partition(p).lookup(&key)
-            })
-        })?
-        .pop()
-        .unwrap_or_default();
+        let rows = self
+            .inner
+            .probe_ns
+            .time(|| {
+                cluster.run_stage(&[task], move |tc| {
+                    let _ = tc;
+                    inner.get_partition(p).lookup(&key)
+                })
+            })?
+            .pop()
+            .unwrap_or_default();
         let registry = cluster.registry();
         registry.counter("index.lookups").inc();
         // Matching rows are chained newest-first through backward pointers
@@ -671,6 +672,7 @@ impl IndexedDataFrame {
                 use_bulk: self.inner.use_bulk,
                 buckets: parking_lot::Mutex::new(None),
                 build_lock: parking_lot::Mutex::new(()),
+                probe_ns: Arc::clone(&self.inner.probe_ns),
             }),
             lease: DatasetLease::register(ctx.cluster(), dataset_id),
         }
@@ -822,6 +824,7 @@ impl IdfBuilder {
             .unwrap_or_else(|| self.ctx.cluster().config().default_partitions());
         let dataset_id = self.ctx.cluster().new_dataset_id();
         let lease = DatasetLease::register(self.ctx.cluster(), dataset_id);
+        let probe_ns = self.ctx.cluster().registry().counter("phase.probe_ns");
         Ok(IndexedDataFrame {
             inner: Arc::new(IdfInner {
                 ctx: self.ctx,
@@ -835,16 +838,11 @@ impl IdfBuilder {
                 use_bulk: self.use_bulk,
                 buckets: parking_lot::Mutex::new(None),
                 build_lock: parking_lot::Mutex::new(()),
+                probe_ns,
             }),
             lease,
         })
     }
-}
-
-/// Force all partition builds to count as recompute (used by the
-/// fault-tolerance figure to separate recovery time).
-pub fn recompute_ns(ctx: &Arc<Context>) -> u64 {
-    ctx.cluster().metrics().recompute_ns.load(Relaxed)
 }
 
 #[cfg(test)]

@@ -51,7 +51,11 @@ impl TableProvider for IndexedDataFrame {
         let mut out = Vec::new();
         part.for_each_row(|_, bytes| {
             if let Some(p) = predicate {
-                if !dataframe::BoundExpr::is_true(&p.eval_encoded(schema, bytes)) {
+                let col = |c| {
+                    rowstore::codec::decode_column(schema, bytes, c)
+                        .unwrap_or(rowstore::Value::Null)
+                };
+                if !dataframe::BoundExpr::is_true(&p.eval_with(&col)) {
                     return;
                 }
             }

@@ -24,7 +24,7 @@
 
 use crate::config::ClusterConfig;
 use crate::memory::{BlockCharge, EvictionPolicy, MemoryGovernor};
-use crate::metrics::{Counter, Histogram, Metrics, Registry, SpanKind, SpanRecord, Trace};
+use crate::metrics::{Counter, Histogram, Registry, SpanKind, SpanRecord, Trace};
 use crate::scheduler::{self, FairQueue, QueryId, QueryRef, Scheduler};
 use parking_lot::Mutex;
 use std::any::Any;
@@ -197,8 +197,8 @@ pub enum TaskResult<R> {
 pub struct Cluster {
     config: ClusterConfig,
     workers: Vec<WorkerState>,
-    metrics: Metrics,
-    /// Named counters/gauges/histograms, sharded per worker.
+    /// Named counters/gauges/histograms, sharded per worker: the cluster's
+    /// one metric store.
     registry: Arc<Registry>,
     /// Bounded operator → stage → task span buffer.
     trace: Arc<Trace>,
@@ -216,6 +216,11 @@ pub struct Cluster {
     /// `stage.launched` / `stage.failed`, resolved once.
     stage_launched: Arc<Counter>,
     stage_failed: Arc<Counter>,
+    /// `task.launched` / `task.non_local` / `task.retries`, resolved once
+    /// for the per-attempt dispatch path.
+    task_launched: Arc<Counter>,
+    task_non_local: Arc<Counter>,
+    task_retries: Arc<Counter>,
     /// Every executor thread, joined on drop.
     executors: Vec<JoinHandle<()>>,
 }
@@ -261,6 +266,24 @@ impl Cluster {
         let memory = MemoryGovernor::new(&registry);
         let stage_launched = registry.counter("stage.launched");
         let stage_failed = registry.counter("stage.failed");
+        let task_launched = registry.counter("task.launched");
+        let task_non_local = registry.counter("task.non_local");
+        let task_retries = registry.counter("task.retries");
+        // The Fig. 1 phase and volume counters are fed by name from the
+        // operators; registering them here keeps each in `metrics_json` and
+        // in counter deltas (as 0) before the first query touches it.
+        for name in [
+            "phase.build_ns",
+            "phase.probe_ns",
+            "phase.shuffle_ns",
+            "phase.recompute_ns",
+            "shuffle.bytes",
+            "shuffle.rows",
+            "broadcast.bytes",
+            "task.terminal_failures",
+        ] {
+            registry.counter(name);
+        }
         let mut executors = Vec::new();
         for w in 0..num_workers {
             for executor in 0..config.executors_per_worker {
@@ -277,7 +300,6 @@ impl Cluster {
         let cluster = Arc::new(Cluster {
             config,
             workers,
-            metrics: Metrics::new(),
             registry,
             trace: Arc::new(Trace::default()),
             scheduler,
@@ -287,6 +309,9 @@ impl Cluster {
             obs: std::sync::Mutex::new(()),
             stage_launched,
             stage_failed,
+            task_launched,
+            task_non_local,
+            task_retries,
             executors,
         });
         // Sweep retirable dataset versions whenever a query releases its
@@ -305,10 +330,6 @@ impl Cluster {
 
     pub fn config(&self) -> &ClusterConfig {
         &self.config
-    }
-
-    pub fn metrics(&self) -> &Metrics {
-        &self.metrics
     }
 
     /// Named-metric registry (counters, gauges, log₂ histograms).
@@ -344,9 +365,9 @@ impl Cluster {
         self.with_query(&query, f)
     }
 
-    /// Serialize every metric — named registry, legacy phase counters and
-    /// a trace summary — as one JSON object (`sparklet-metrics-v1`; schema
-    /// documented in DESIGN.md).
+    /// Serialize every metric — the named registry and a trace summary —
+    /// as one JSON object (`sparklet-metrics-v2`; schema documented in
+    /// DESIGN.md).
     ///
     /// Concurrency contract: safe to call while queries are in flight.
     /// The snapshot is *monotonic*, not atomic — counters incremented
@@ -356,11 +377,10 @@ impl Cluster {
     pub fn metrics_json(&self) -> String {
         let _obs = self.obs.lock().unwrap();
         format!(
-            "{{\"schema\":\"sparklet-metrics-v1\",\"workers\":{},{},\"legacy\":{},\
+            "{{\"schema\":\"sparklet-metrics-v2\",\"workers\":{},{},\
              \"trace\":{{\"spans\":{},\"dropped\":{}}}}}",
             self.workers.len(),
             self.registry.merged().to_json_fields(),
-            self.metrics.snapshot().to_json(),
             self.trace.len(),
             self.trace.dropped()
         )
@@ -392,7 +412,6 @@ impl Cluster {
     /// in the freshly zeroed registry.
     pub fn reset_observability(&self) {
         let _obs = self.obs.lock().unwrap();
-        self.metrics.reset();
         self.registry.reset();
         self.trace.reset();
     }
@@ -672,7 +691,6 @@ impl Cluster {
         R: Send + 'static,
         F: Fn(TaskContext) -> R + Send + Sync + 'static,
     {
-        self.metrics.stages.fetch_add(1, Relaxed);
         self.stage_launched.inc();
         let span_id = self.trace.next_span_id();
         let parent = self.trace.current_parent();
@@ -725,9 +743,9 @@ impl Cluster {
             let (worker, non_local) = self.schedule_excluding(spec, exclude)?;
             let ws = &self.workers[worker];
             let partition = spec.partition;
-            self.metrics.tasks.fetch_add(1, Relaxed);
+            self.task_launched.inc();
             if non_local {
-                self.metrics.non_local_tasks.fetch_add(1, Relaxed);
+                self.task_non_local.inc();
             }
             let f = Arc::clone(&f);
             let tx = tx.clone();
@@ -823,10 +841,10 @@ impl Cluster {
                 }
                 TaskResult::Failed(reason) => {
                     // Attempt-level accounting: every failed attempt counts
-                    // here, with its cause; `task_failures` is reserved for
-                    // *terminal* failures (retry exhaustion) so a task that
-                    // fails on worker A and succeeds on worker B leaves the
-                    // stage with one retry and zero failures.
+                    // here, with its cause; `task.terminal_failures` is
+                    // reserved for *terminal* failures (retry exhaustion) so
+                    // a task that fails on worker A and succeeds on worker B
+                    // leaves the stage with one retry and zero failures.
                     self.registry.counter("task.attempt_failures").inc();
                     match &reason {
                         FailureReason::Panicked(_) => {
@@ -842,7 +860,6 @@ impl Cluster {
                         failed_workers[idx].push(worker);
                     }
                     if attempts[idx] >= self.config.max_task_attempts {
-                        self.metrics.task_failures.fetch_add(1, Relaxed);
                         self.registry.counter("task.terminal_failures").inc();
                         return Err(StageError::TaskFailed {
                             partition: tasks[idx].partition,
@@ -852,7 +869,7 @@ impl Cluster {
                         });
                     }
                     attempts[idx] += 1;
-                    self.metrics.task_retries.fetch_add(1, Relaxed);
+                    self.task_retries.inc();
                     dispatch(idx, &tasks[idx], &failed_workers[idx], attempts[idx])?;
                 }
             }
@@ -910,36 +927,6 @@ impl Cluster {
             .map(|s| s.expect("missing weighted task result"))
             .collect())
     }
-
-    /// Infallible wrapper over [`Cluster::run_stage`] for callers that
-    /// treat stage failure as fatal: panics on [`StageError`].
-    pub fn run_tasks<R, F>(&self, tasks: &[TaskSpec], f: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(TaskContext) -> R + Send + Sync + 'static,
-    {
-        match self.run_stage(tasks, f) {
-            Ok(results) => results,
-            Err(StageError::NoAliveWorkers { .. }) => panic!("no alive workers"),
-            Err(e) => panic!("stage failed: {e}"),
-        }
-    }
-
-    /// Convenience: one task per partition `0..n`, placed by
-    /// [`Cluster::worker_for_partition`]. Panics on [`StageError`].
-    pub fn run_partitions<R, F>(&self, n: usize, f: F) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(TaskContext) -> R + Send + Sync + 'static,
-    {
-        let tasks: Vec<TaskSpec> = (0..n)
-            .map(|p| TaskSpec {
-                partition: p,
-                preferred_worker: Some(self.worker_for_partition(p)),
-            })
-            .collect();
-        self.run_tasks(&tasks, f)
-    }
 }
 
 #[cfg(test)]
@@ -959,34 +946,40 @@ mod tests {
     #[test]
     fn runs_tasks_in_order() {
         let c = cluster();
-        let out = c.run_partitions(16, |ctx| ctx.partition * 10);
+        let out = c
+            .run_stage_partitions(16, |ctx| ctx.partition * 10)
+            .unwrap();
         assert_eq!(out, (0..16).map(|p| p * 10).collect::<Vec<_>>());
     }
 
     #[test]
     fn tasks_respect_locality() {
         let c = cluster();
-        let out = c.run_partitions(12, |ctx| (ctx.partition, ctx.worker, ctx.non_local));
+        let out = c
+            .run_stage_partitions(12, |ctx| (ctx.partition, ctx.worker, ctx.non_local))
+            .unwrap();
         for (p, w, non_local) in out {
             assert_eq!(w, p % 3);
             assert!(!non_local);
         }
-        assert_eq!(c.metrics().snapshot().non_local_tasks, 0);
-        assert_eq!(c.metrics().snapshot().tasks, 12);
+        assert_eq!(c.registry().counter_value("task.non_local"), 0);
+        assert_eq!(c.registry().counter_value("task.launched"), 12);
     }
 
     #[test]
     fn dead_worker_falls_back() {
         let c = cluster();
         c.kill_worker(1);
-        let out = c.run_partitions(12, |ctx| (ctx.partition, ctx.worker, ctx.non_local));
+        let out = c
+            .run_stage_partitions(12, |ctx| (ctx.partition, ctx.worker, ctx.non_local))
+            .unwrap();
         for (p, w, non_local) in out {
             assert_ne!(w, 1, "dead worker must not run tasks");
             if p % 3 == 1 {
                 assert!(non_local);
             }
         }
-        assert!(c.metrics().snapshot().non_local_tasks >= 4);
+        assert!(c.registry().counter_value("task.non_local") >= 4);
     }
 
     #[test]
@@ -994,7 +987,7 @@ mod tests {
         let c = cluster();
         c.kill_worker(0);
         c.restart_worker(0);
-        let out = c.run_partitions(3, |ctx| ctx.worker);
+        let out = c.run_stage_partitions(3, |ctx| ctx.worker).unwrap();
         assert!(out.contains(&0));
     }
 
@@ -1070,24 +1063,15 @@ mod tests {
         // sleeping tasks should take ~1 sleep, not 12.
         let c = cluster();
         let start = std::time::Instant::now();
-        c.run_partitions(12, |_| {
+        c.run_stage_partitions(12, |_| {
             std::thread::sleep(std::time::Duration::from_millis(50))
-        });
+        })
+        .unwrap();
         let elapsed = start.elapsed();
         assert!(
             elapsed < std::time::Duration::from_millis(400),
             "tasks serialized: {elapsed:?}"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "no alive workers")]
-    fn all_workers_dead_panics() {
-        let c = cluster();
-        for w in 0..3 {
-            c.kill_worker(w);
-        }
-        c.run_partitions(1, |_| ());
     }
 
     #[test]
@@ -1114,18 +1098,21 @@ mod tests {
             })
             .expect("stage must recover via retry");
         assert_eq!(out, (0..6).map(|p| p * 10).collect::<Vec<_>>());
-        let m = c.metrics().snapshot();
+        let r = c.registry();
         assert_eq!(
-            m.task_failures, 0,
+            r.counter_value("task.terminal_failures"),
+            0,
             "recovered task is not a terminal failure"
         );
-        assert_eq!(m.task_retries, 1);
-        assert_eq!(m.stages, 1);
-        assert_eq!(m.tasks, 7, "6 first attempts + 1 retry");
-        let r = c.registry();
+        assert_eq!(r.counter_value("task.retries"), 1);
+        assert_eq!(r.counter_value("stage.launched"), 1);
+        assert_eq!(
+            r.counter_value("task.launched"),
+            7,
+            "6 first attempts + 1 retry"
+        );
         assert_eq!(r.counter_value("task.attempt_failures"), 1);
         assert_eq!(r.counter_value("task.failure_cause.panicked"), 1);
-        assert_eq!(r.counter_value("task.terminal_failures"), 0);
     }
 
     #[test]
@@ -1143,12 +1130,16 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out, vec![0, 1, 2]);
-        let m = c.metrics().snapshot();
-        assert_eq!(m.task_retries, 1, "exactly one retry");
-        assert_eq!(m.task_failures, 0, "zero terminal failures");
-        assert_eq!(c.registry().counter_value("task.attempt_failures"), 1);
-        assert_eq!(c.registry().counter_value("stage.launched"), 1);
-        assert_eq!(c.registry().counter_value("stage.failed"), 0);
+        let r = c.registry();
+        assert_eq!(r.counter_value("task.retries"), 1, "exactly one retry");
+        assert_eq!(
+            r.counter_value("task.terminal_failures"),
+            0,
+            "zero terminal failures"
+        );
+        assert_eq!(r.counter_value("task.attempt_failures"), 1);
+        assert_eq!(r.counter_value("stage.launched"), 1);
+        assert_eq!(r.counter_value("stage.failed"), 0);
     }
 
     #[test]
@@ -1172,21 +1163,20 @@ mod tests {
             })
             .expect("stage must survive a mid-stage worker kill");
         assert_eq!(out, (0..9).map(|p| p + 100).collect::<Vec<_>>());
-        let m = c.metrics().snapshot();
-        assert!(
-            m.task_retries > 0,
-            "kill must have forced at least one retry"
-        );
+        let r = c.registry();
+        let retries = r.counter_value("task.retries");
+        assert!(retries > 0, "kill must have forced at least one retry");
         assert_eq!(
-            m.task_failures, 0,
+            r.counter_value("task.terminal_failures"),
+            0,
             "every attempt recovered, so no terminal failures"
         );
         assert_eq!(
-            c.registry().counter_value("task.attempt_failures"),
-            m.task_retries,
+            r.counter_value("task.attempt_failures"),
+            retries,
             "each retry corresponds to exactly one failed attempt"
         );
-        assert!(c.registry().counter_value("task.failure_cause.worker_lost") > 0);
+        assert!(r.counter_value("task.failure_cause.worker_lost") > 0);
         assert!(!c.is_alive(1));
     }
 
@@ -1220,12 +1210,19 @@ mod tests {
         assert_eq!(attempts, 3);
         assert!(!workers_tried.is_empty());
         assert!(matches!(last_error, FailureReason::Panicked(ref m) if m.contains("always fails")));
-        let m = c.metrics().snapshot();
-        assert_eq!(m.task_failures, 1, "one task exhausted its attempts");
-        assert_eq!(m.task_retries, 2, "retries exclude the first attempt");
-        assert_eq!(c.registry().counter_value("task.attempt_failures"), 3);
-        assert_eq!(c.registry().counter_value("task.terminal_failures"), 1);
-        assert_eq!(c.registry().counter_value("stage.failed"), 1);
+        let r = c.registry();
+        assert_eq!(
+            r.counter_value("task.terminal_failures"),
+            1,
+            "one task exhausted its attempts"
+        );
+        assert_eq!(
+            r.counter_value("task.retries"),
+            2,
+            "retries exclude the first attempt"
+        );
+        assert_eq!(r.counter_value("task.attempt_failures"), 3);
+        assert_eq!(r.counter_value("stage.failed"), 1);
     }
 
     #[test]
@@ -1353,7 +1350,7 @@ mod tests {
         for round in 0..40 {
             let c = cluster();
             assert_eq!(
-                c.run_partitions(6, |ctx| ctx.partition),
+                c.run_stage_partitions(6, |ctx| ctx.partition).unwrap(),
                 (0..6).collect::<Vec<_>>()
             );
             let weak = Arc::downgrade(c.scheduler().queue(round % 3));
@@ -1412,7 +1409,7 @@ mod tests {
     #[test]
     fn executor_index_is_within_the_worker() {
         let c = cluster();
-        let out = c.run_partitions(48, |ctx| ctx.executor);
+        let out = c.run_stage_partitions(48, |ctx| ctx.executor).unwrap();
         assert!(out.iter().all(|&e| e < 2), "{out:?}");
     }
 
@@ -1447,9 +1444,10 @@ mod tests {
     #[test]
     fn run_stage_records_spans_and_task_histograms() {
         let c = cluster();
-        c.run_partitions(6, |_| {
+        c.run_stage_partitions(6, |_| {
             std::thread::sleep(std::time::Duration::from_micros(50))
-        });
+        })
+        .unwrap();
         let spans = c.trace().spans();
         let stage_spans: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Stage).collect();
         let task_spans: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Task).collect();
@@ -1468,7 +1466,7 @@ mod tests {
             .unwrap();
         assert_eq!(wait.count, 6);
         let json = c.metrics_json();
-        assert!(json.contains("\"schema\":\"sparklet-metrics-v1\""));
+        assert!(json.contains("\"schema\":\"sparklet-metrics-v2\""));
         assert!(json.contains("\"task.run_ns\""));
         let report = c.trace_report();
         assert!(report.contains("\"schema\":\"sparklet-trace-v1\""));

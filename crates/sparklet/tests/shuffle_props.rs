@@ -212,7 +212,9 @@ proptest! {
             .map(|(i, p)| TaskSpec { partition: i, preferred_worker: *p })
             .collect();
         let dead2 = Arc::new(dead.clone());
-        let placements = cluster.run_tasks(&tasks, move |tc| (tc.worker, tc.non_local));
+        let placements = cluster
+            .run_stage(&tasks, move |tc| (tc.worker, tc.non_local))
+            .unwrap();
         for (spec, (worker, non_local)) in tasks.iter().zip(&placements) {
             prop_assert!(!dead2.contains(worker), "task ran on dead worker {worker}");
             if let Some(p) = spec.preferred_worker {
@@ -234,7 +236,7 @@ fn exchange_metrics_account_rows_and_bytes() {
         .collect();
     let out = exchange(&cluster, inputs, 8).unwrap();
     assert_eq!(out.iter().map(Vec::len).sum::<usize>(), 1000);
-    let m = cluster.metrics().snapshot();
-    assert_eq!(m.shuffle_rows, 1000);
-    assert_eq!(m.shuffle_bytes, 10_000);
+    let r = cluster.registry();
+    assert_eq!(r.counter_value("shuffle.rows"), 1000);
+    assert_eq!(r.counter_value("shuffle.bytes"), 10_000);
 }

@@ -77,6 +77,16 @@ fn four_worker_run_populates_every_metric_layer() {
     assert!(registry.counter_value("index.cache.misses") > 0, "miss");
     assert!(registry.counter_value("index.cache.hits") > 0, "hit");
 
+    // Fig. 1 phases: the join's and lookups' probes, the join's exchange
+    // and the lineage builds of the lazy lookup and the partial
+    // `cache_index` all took time. (A shuffled hash join has no separate
+    // build phase, and no full index build ran.)
+    for phase in ["phase.probe_ns", "phase.shuffle_ns", "phase.recompute_ns"] {
+        assert!(registry.counter_value(phase) > 0, "{phase} timed");
+    }
+    assert!(registry.counter_value("task.launched") > 0);
+    assert!(registry.counter_value("stage.launched") > 0);
+
     // Index-build fast path: the lazy lookup plus the full cache_index
     // drained the base source through exactly one shared replay,
     // bulk-loaded all 2000 rows grouped by key (50 distinct keys, each
@@ -118,7 +128,7 @@ fn four_worker_run_populates_every_metric_layer() {
 
     // The JSON document carries all of it.
     let json = cluster.metrics_json();
-    assert!(json.starts_with("{\"schema\":\"sparklet-metrics-v1\""));
+    assert!(json.starts_with("{\"schema\":\"sparklet-metrics-v2\""));
     for needle in [
         "\"shuffle.bytes\"",
         "\"op.scan.ns\"",
@@ -131,11 +141,19 @@ fn four_worker_run_populates_every_metric_layer() {
         "\"index.upserts\"",
         "\"index.build_ns\"",
         "\"operator.vectorized\"",
-        "\"legacy\"",
+        "\"phase.build_ns\"",
+        "\"phase.probe_ns\"",
+        "\"phase.shuffle_ns\"",
+        "\"task.launched\"",
+        "\"stage.launched\"",
         "\"trace\"",
     ] {
         assert!(json.contains(needle), "metrics_json missing {needle}");
     }
+    assert!(
+        !json.contains("\"legacy\""),
+        "v2 has no legacy block: {json}"
+    );
 
     // The span trace nests operator → stage → task.
     let spans = cluster.trace().spans();

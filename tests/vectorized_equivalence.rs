@@ -1,10 +1,10 @@
 //! Equivalence suite for the vectorized kernels: random nullable schemas,
 //! random data (including NULLs across all five dtypes), and random
 //! type-correct expression trees must evaluate identically through all
-//! three paths — `eval_row` (materialized rows), `eval_columnar`
-//! (per-row over columns), and `eval_batch` (typed kernels over a
-//! selection vector) — both over the identity selection and over a
-//! random subset.
+//! three paths — `eval_row` (materialized rows), `eval_with` over a
+//! columnar accessor (per-row over columns), and `eval_batch` (typed
+//! kernels over a selection vector) — both over the identity selection
+//! and over a random subset.
 //!
 //! Expression generation is type-aware only where the row path's
 //! semantics demand it: `NOT` is applied exclusively to boolean-typed
@@ -13,7 +13,7 @@
 //! generated freely: mismatched comparisons, arithmetic over booleans,
 //! and NULL literals are all legal and null-producing on every path.
 
-use dataframe::vector::SelVec;
+use dataframe::vector::{eval_batch, SelVec};
 use dataframe::{BoundExpr, Expr};
 use proptest::prelude::*;
 use rowstore::{DataType, Field, Row, Schema, Value};
@@ -215,7 +215,7 @@ fn val_eq(a: &Value, b: &Value) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// eval_row == eval_columnar == eval_batch, over the identity
+    /// eval_row == columnar eval_with == eval_batch, over the identity
     /// selection and over a random subset of rows.
     #[test]
     fn batch_kernels_match_row_and_columnar_eval(seed in any::<u64>()) {
@@ -234,14 +234,14 @@ proptest! {
         let expected: Vec<Value> = rows.iter().map(|r| bound.eval_row(r)).collect();
 
         for (i, want) in expected.iter().enumerate() {
-            let got = bound.eval_columnar(&part, i);
+            let got = bound.eval_with(&|c| part.column(c).value(i));
             prop_assert!(
                 val_eq(&got, want),
-                "eval_columnar row {i}: {got:?} != {want:?} for {expr:?}"
+                "columnar eval_with row {i}: {got:?} != {want:?} for {expr:?}"
             );
         }
 
-        let dense = bound.eval_batch(&part, &SelVec::identity(n));
+        let dense = eval_batch(&bound, &part, &SelVec::identity(n));
         prop_assert_eq!(dense.len(), n);
         for (i, want) in expected.iter().enumerate() {
             let got = dense.value(i);
@@ -255,7 +255,7 @@ proptest! {
         // row, indexed by position within the selection.
         let picked: Vec<u32> = (0..n as u32).filter(|_| rng.chance(50)).collect();
         let sel = SelVec::from_indices(picked.clone());
-        let sparse = bound.eval_batch(&part, &sel);
+        let sparse = eval_batch(&bound, &part, &sel);
         prop_assert_eq!(sparse.len(), picked.len());
         for (j, &i) in picked.iter().enumerate() {
             let got = sparse.value(j);
