@@ -1,8 +1,8 @@
 //! Adaptive-execution figure (not a paper figure — the regression record
 //! for the runtime skew-handling work): the same join workloads executed
 //! with `ExecConfig::adaptive` off (the static planner commits to a
-//! strategy from estimates alone) and on (the zero-copy exchange's
-//! counting pass re-decides at runtime).
+//! strategy from estimates alone) and on (the row exchange's exact
+//! per-partition statistics re-decide at runtime).
 //!
 //! Scenarios:
 //!
@@ -339,5 +339,5 @@ pub fn adaptive(opts: &Opts) {
     );
     perf.finish(opts);
     println!("shape check: demotion skips the probe-side exchange entirely; salting");
-    println!("keeps hot rows off the wire; uniform pays only the counting pass");
+    println!("keeps hot rows off the wire; uniform pays only the statistics pass");
 }

@@ -1,20 +1,13 @@
-//! Shuffle microbench: exchange throughput of the three data-movement
-//! paths (not a paper figure — the regression record for the zero-copy
-//! shuffle work; the paper's Fig. 10 shows this shuffle dominating append
-//! time).
+//! Shuffle microbench: throughput of the serialized row exchange
+//! (`exchange_rows`: rows packed into length-prefixed wire blocks and
+//! decoded per reduce partition, exact byte accounting) — the path every
+//! index build, append and shuffled join takes. Not a paper figure: the
+//! regression record for the shuffle, which the paper's Fig. 10 shows
+//! dominating append time.
 //!
-//! Paths compared, same workload (rows with a string payload, keyed by an
-//! Int64 column):
-//!
-//! * `cloning`    — the pre-zero-copy baseline (`exchange_cloning`): every
-//!   row cloned into map buckets, cloned again reduce-side;
-//! * `zerocopy`   — move-based `exchange`: counting pass + pre-sized
-//!   pointer-move drain, zero clones;
-//! * `serialized` — `exchange_rows`: rows packed into length-prefixed wire
-//!   blocks and decoded per reduce partition (exact byte accounting).
-//!
-//! Row generation is excluded from the timed region (the exchanges consume
-//! their inputs, so each rep gets fresh inputs built outside the clock).
+//! Workload: rows with a string payload, keyed by an Int64 column. Row
+//! generation is excluded from the timed region (the exchange consumes its
+//! inputs, so each rep gets fresh inputs built outside the clock).
 
 use crate::perf::Perf;
 use crate::{banner, write_csv, Opts, Stats};
@@ -63,7 +56,7 @@ fn cluster_ctx(workers: usize) -> Arc<Context> {
 }
 
 /// Time `reps` runs (after one warmup), building fresh inputs outside the
-/// clock because every path consumes them.
+/// clock because the exchange consumes them.
 fn time_exchange(
     reps: usize,
     rows: usize,
@@ -82,7 +75,7 @@ fn time_exchange(
 }
 
 pub fn shuffle(opts: &Opts) {
-    banner("shuffle — exchange throughput: cloning vs zero-copy vs serialized");
+    banner("shuffle — serialized row exchange throughput");
     let rows = (200_000 * opts.scale) as usize;
     let parts = 8;
     let num_out = 8;
@@ -91,67 +84,31 @@ pub fn shuffle(opts: &Opts) {
     let schema = shuffle_schema();
 
     let mut perf = Perf::start("shuffle");
-    let mut csv = Vec::new();
-    let mut mean_ms = Vec::new();
     println!("path        rows      mean_ms   std_ms  mrows_per_s");
-    type Runner = Box<dyn FnMut(&Arc<Context>, Vec<Vec<(u64, Row)>>)>;
-    let paths: Vec<(&str, Runner)> = vec![
-        (
-            "cloning",
-            Box::new(move |ctx: &Arc<Context>, inputs| {
-                sparklet::exchange_cloning(ctx.cluster(), inputs, num_out).unwrap();
-            }),
-        ),
-        (
-            "zerocopy",
-            Box::new(move |ctx: &Arc<Context>, inputs| {
-                sparklet::exchange(ctx.cluster(), inputs, num_out).unwrap();
-            }),
-        ),
-        (
-            "serialized",
-            Box::new({
-                let schema = Arc::clone(&schema);
-                move |ctx: &Arc<Context>, inputs| {
-                    sparklet::exchange_rows(ctx.cluster(), &schema, inputs, num_out).unwrap();
-                }
-            }),
-        ),
-    ];
-    for (label, mut run) in paths {
-        let ctx = cluster_ctx(workers);
-        perf.attach(label, &ctx);
-        let samples = time_exchange(reps, rows, parts, |inputs| run(&ctx, inputs));
-        let s = Stats::of(&samples);
-        let mrows = rows as f64 / 1e6 / (s.mean_ms / 1e3);
-        println!(
-            "{label:<10}  {rows:>8}  {:>8.2}  {:>7.2}  {mrows:>11.2}",
-            s.mean_ms, s.std_ms
-        );
-        csv.push(format!(
-            "{label},{rows},{:.3},{:.3},{mrows:.3}",
-            s.mean_ms, s.std_ms
-        ));
-        perf.extra(&format!("{label}_ms"), s.mean_ms);
-        perf.extra(&format!("{label}_mrows_per_s"), mrows);
-        mean_ms.push((label, s.mean_ms));
-    }
-
-    let ms_of = |name: &str| mean_ms.iter().find(|(l, _)| *l == name).unwrap().1;
-    let zerocopy_speedup = ms_of("cloning") / ms_of("zerocopy");
-    let serialized_speedup = ms_of("cloning") / ms_of("serialized");
+    let label = "serialized";
+    let ctx = cluster_ctx(workers);
+    perf.attach(label, &ctx);
+    let samples = time_exchange(reps, rows, parts, |inputs| {
+        sparklet::exchange_rows(ctx.cluster(), &schema, inputs, num_out).unwrap();
+    });
+    let s = Stats::of(&samples);
+    let mrows = rows as f64 / 1e6 / (s.mean_ms / 1e3);
+    println!(
+        "{label:<10}  {rows:>8}  {:>8.2}  {:>7.2}  {mrows:>11.2}",
+        s.mean_ms, s.std_ms
+    );
+    perf.extra(&format!("{label}_ms"), s.mean_ms);
+    perf.extra(&format!("{label}_mrows_per_s"), mrows);
     perf.extra("rows", rows as f64);
-    perf.extra("zerocopy_speedup", zerocopy_speedup);
-    perf.extra("serialized_speedup", serialized_speedup);
-    println!("zero-copy speedup vs cloning:  {zerocopy_speedup:.2}x");
-    println!("serialized speedup vs cloning: {serialized_speedup:.2}x");
 
     write_csv(
         opts,
         "shuffle.csv",
         "path,rows,mean_ms,std_ms,mrows_per_s",
-        &csv,
+        &[format!(
+            "{label},{rows},{:.3},{:.3},{mrows:.3}",
+            s.mean_ms, s.std_ms
+        )],
     );
     perf.finish(opts);
-    println!("shape check: zerocopy ≥ 1.5x cloning (moves instead of two full copies)");
 }

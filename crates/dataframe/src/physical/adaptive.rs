@@ -1,6 +1,6 @@
 //! Runtime-adaptive join: re-decides its strategy *after* both inputs are
 //! materialized, when actual sizes and key frequencies are known — the
-//! "free statistics" the shuffle's counting stage already produces, turned
+//! "free statistics" the shuffle's map side already produces, turned
 //! into execution decisions instead of a counter nobody reads.
 //!
 //! Decision ladder (first match wins), taken at `execute` time:
@@ -33,7 +33,7 @@ use crate::physical::{
     count_rows, describe_node, observe_operator, ExecError, ExecPlan, Partitions,
 };
 use rowstore::{Row, Schema};
-use sparklet::{ShuffleItem, SpanKind, SpanRecord};
+use sparklet::{row_bytes, SpanKind, SpanRecord};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -341,7 +341,7 @@ fn detect_hot_hashes(
         .iter()
         .flat_map(|part| part.iter())
         .filter(|row| !row[build_key].is_null() && hot.contains(&row[build_key].key_hash()))
-        .map(|row| row.approx_bytes() as u64)
+        .map(|row| row_bytes(row) as u64)
         .sum();
     if hot_build_bytes > broadcast_threshold {
         return None;

@@ -17,7 +17,7 @@ use crate::physical::{
     count_rows, describe_node, observe_operator, ExecError, ExecPlan, KeyWrap, Partitions,
 };
 use rowstore::{Row, Schema, Value};
-use sparklet::ShuffleItem;
+use sparklet::row_bytes;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -56,7 +56,7 @@ pub(crate) fn joined(left: &Row, right: &Row) -> Row {
 pub(crate) fn parts_bytes(parts: &Partitions) -> u64 {
     parts
         .iter()
-        .flat_map(|p| p.iter().map(|r| r.approx_bytes() as u64))
+        .flat_map(|p| p.iter().map(|r| row_bytes(r) as u64))
         .sum()
 }
 
@@ -76,7 +76,7 @@ pub(crate) fn parts_bytes_sampled(parts: &Partitions) -> u64 {
     for (i, row) in parts.iter().flat_map(|p| p.iter()).enumerate() {
         if i % stride == 0 {
             sampled += 1;
-            bytes += row.approx_bytes() as u64;
+            bytes += row_bytes(row) as u64;
         }
     }
     bytes * rows as u64 / sampled.max(1)
@@ -112,7 +112,7 @@ pub(crate) fn broadcast_hash_core(
     // traffic per worker, memory once.
     let table_bytes: u64 = table
         .values()
-        .flat_map(|rows| rows.iter().map(|r| r.approx_bytes() as u64))
+        .flat_map(|rows| rows.iter().map(|r| row_bytes(r) as u64))
         .sum();
     let alive = ctx.cluster().alive_workers().len() as u64;
     sparklet::account_broadcast(ctx.cluster(), table_bytes, alive);

@@ -403,15 +403,15 @@ impl IdfInner {
         // for last and stretch the stage's tail.
         let inner = Arc::clone(self);
         let shuffled2 = Arc::clone(&shuffled);
-        let tasks: Vec<TaskSpec> = (0..p)
+        let mut tasks: Vec<TaskSpec> = (0..p)
             .map(|i| TaskSpec {
                 partition: i,
                 preferred_worker: Some(self.home_worker(i)),
             })
             .collect();
-        let weights: Vec<u64> = (0..p).map(|i| shuffled[i].len() as u64).collect();
+        tasks.sort_by_key(|t| std::cmp::Reverse(shuffled[t.partition].len()));
         cluster.registry().counter("phase.build_ns").time(|| {
-            cluster.run_stage_weighted(&tasks, &weights, move |tc| {
+            cluster.run_stage(&tasks, move |tc| {
                 let pidx = tc.partition;
                 let start = std::time::Instant::now();
                 let mut part = inner.fresh_partition(pidx);
@@ -854,7 +854,7 @@ mod tests {
     /// MVCC visibility: a block stamped with a *newer* version than the
     /// reader's snapshot must never be served — the exact-version guard
     /// forces a lineage recompute instead (regression for the floor-match
-    /// bug where `get_block_min_version` would have returned it).
+    /// bug, where a minimum-version guard would have returned it).
     #[test]
     fn newer_version_block_is_never_served() {
         let ctx = Context::new(Cluster::new(ClusterConfig::test_small()));

@@ -4,7 +4,7 @@
 use dataframe::{col, lit, ColumnarTable, Context};
 use indexed_df::IndexedDataFrame;
 use rowstore::{DataType, Field, Row, Schema, Value};
-use sparklet::{Cluster, ClusterConfig};
+use sparklet::{partition_of, plan_reduce_tasks, Cluster, ClusterConfig, ReduceTask, SpanKind};
 use std::sync::Arc;
 
 fn edge_schema() -> Arc<Schema> {
@@ -563,4 +563,72 @@ fn skewed_index_build_splits_hot_bucket_and_stays_correct() {
         "hot bucket should have been split during the build shuffle"
     );
     assert!(reg.gauge("shuffle.max_partition_rows").get() >= want_hot as u64);
+}
+
+#[test]
+fn skewed_index_build_dispatches_the_hot_partition_first() {
+    // One executor core runs tasks in dispatch order, so the first task
+    // span of a stage is the task dispatched first. Both the build
+    // shuffle's reduce stage and the build stage must start with the hot
+    // partition's work (longest-processing-time order), not with
+    // partition 0's.
+    let ctx = Context::new(Cluster::new(ClusterConfig {
+        workers: 1,
+        executors_per_worker: 1,
+        cores_per_executor: 1,
+        max_task_attempts: 2,
+        skew_ratio: 2.0,
+    }));
+    let p = 8;
+    let part_of = |k: i64| partition_of(Value::Int64(k).key_hash(), p);
+    let hot_key = (1..).find(|&k| part_of(k) != 0).unwrap();
+    let hot = part_of(hot_key);
+    let rows: Vec<Row> = (0..2000i64)
+        .map(|i| {
+            let key = if i % 10 != 0 { hot_key } else { i % 100 };
+            vec![Value::Int64(key), Value::Int64(i)]
+        })
+        .collect();
+    let mut rows_per_part = vec![0u64; p];
+    for r in &rows {
+        rows_per_part[part_of(r[0].as_i64().unwrap())] += 1;
+    }
+    let idf = IndexedDataFrame::builder(&ctx, edge_schema(), "src")
+        .unwrap()
+        .partitions(p)
+        .rows(rows)
+        .build()
+        .unwrap();
+    let cluster = ctx.cluster();
+    cluster.reset_observability();
+    idf.cache_index().unwrap();
+
+    let spans = cluster.trace().spans();
+    let mut stages: Vec<_> = spans.iter().filter(|s| s.kind == SpanKind::Stage).collect();
+    stages.sort_by_key(|s| s.start_us);
+    let [.., reduce, build] = stages[..] else {
+        panic!("expected map, reduce and build stages: {stages:?}");
+    };
+    let first_task = |stage: u64| {
+        spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Task && s.parent == stage)
+            .min_by_key(|s| (s.start_us, s.id))
+            .unwrap()
+            .partition as usize
+    };
+
+    // Reduce tasks carry their index into the reduce plan.
+    let plan = plan_reduce_tasks(cluster.config(), &rows_per_part);
+    let covers_hot = |task: &ReduceTask| match task {
+        ReduceTask::Whole { parts } => parts.contains(&hot),
+        ReduceTask::Slice { part, .. } => *part == hot,
+    };
+    assert!(!covers_hot(&plan[0]), "plan order alone would start cold");
+    let first = &plan[first_task(reduce.id)];
+    assert!(
+        matches!(first, ReduceTask::Slice { part, .. } if *part == hot),
+        "first reduce task {first:?} is not a slice of hot partition {hot}"
+    );
+    assert_eq!(first_task(build.id), hot, "first build task");
 }

@@ -121,16 +121,6 @@ impl fmt::Display for FailureReason {
     }
 }
 
-/// One failed attempt of one task, as recorded by [`Cluster::run_stage`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TaskFailure {
-    pub partition: usize,
-    pub worker: usize,
-    /// 1-based attempt number.
-    pub attempt: usize,
-    pub reason: FailureReason,
-}
-
 /// A stage that could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StageError {
@@ -184,12 +174,6 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Outcome of one task attempt, as reported back to the stage driver.
-pub enum TaskResult<R> {
-    Ok(R),
-    Failed(FailureReason),
 }
 
 /// The simulated cluster: a shared resource substrate (workers, block
@@ -488,26 +472,10 @@ impl Cluster {
         self.workers[worker].cache.lock().get(&id).cloned()
     }
 
-    /// Fetch a block only if it is at least `min_version` — the staleness
-    /// guard of §III-D: after an append bumps the version, older copies on
-    /// other workers must not serve tasks.
-    ///
-    /// This is a *floor* guard only: it will happily return a block newer
-    /// than `min_version`. Snapshot readers that must not see past their
-    /// own version (MVCC visibility) need [`Cluster::get_block_at_version`]
-    /// instead.
-    pub fn get_block_min_version(
-        &self,
-        worker: usize,
-        id: BlockId,
-        min_version: u64,
-    ) -> Option<Block> {
-        self.get_block(worker, id)
-            .filter(|b| b.version >= min_version)
-    }
-
-    /// Fetch a block only if it is *exactly* `version`: the MVCC
-    /// visibility bound. A snapshot pinned at version `v` must never be
+    /// Fetch a block only if it is *exactly* `version`: the staleness
+    /// guard of §III-D and the MVCC visibility bound in one. After an
+    /// append bumps the version, older copies on other workers must not
+    /// serve tasks; and a snapshot pinned at version `v` must never be
     /// served a block from a later append, or it would observe rows that
     /// did not exist when the snapshot was taken.
     pub fn get_block_at_version(&self, worker: usize, id: BlockId, version: u64) -> Option<Block> {
@@ -658,10 +626,14 @@ impl Cluster {
     /// [`StageError::TaskFailed`] naming the partition, attempt count and
     /// worker history.
     ///
-    /// Compatibility wrapper over [`Cluster::run_stage_for`]: the stage is
-    /// attributed to the ambient query installed by [`Cluster::with_query`]
-    /// if any, otherwise to a fresh single-stage query (which bypasses
-    /// admission — bare stages are internal work, not tenant submissions).
+    /// The stage is attributed to the ambient query installed by
+    /// [`Cluster::with_query`] if any, otherwise to a fresh single-stage
+    /// query (which bypasses admission — bare stages are internal work,
+    /// not tenant submissions). Its tasks are pushed into the per-worker
+    /// fair queues in `tasks` order and interleave with other queries'
+    /// tasks on the shared executor threads. Fails fast with
+    /// [`StageError::Cancelled`] if the query is cancelled at stage entry,
+    /// at a dispatch, or while any of its attempts are still queued.
     ///
     /// `f` must be cheap to share (it is called concurrently from many
     /// executor threads) and safe to re-run for the same partition: a
@@ -673,30 +645,12 @@ impl Cluster {
         F: Fn(TaskContext) -> R + Send + Sync + 'static,
     {
         let query = scheduler::ambient_query().unwrap_or_else(|| self.scheduler.new_query(1));
-        self.run_stage_for(&query, tasks, f)
-    }
-
-    /// Run one stage on behalf of `query`: tasks are pushed into the
-    /// per-worker fair queues and interleave with other queries' tasks on
-    /// the shared executor threads. Fails fast with
-    /// [`StageError::Cancelled`] if the query is cancelled at stage entry,
-    /// at a dispatch, or while any of its attempts are still queued.
-    pub fn run_stage_for<R, F>(
-        &self,
-        query: &QueryRef,
-        tasks: &[TaskSpec],
-        f: F,
-    ) -> Result<Vec<R>, StageError>
-    where
-        R: Send + 'static,
-        F: Fn(TaskContext) -> R + Send + Sync + 'static,
-    {
         self.stage_launched.inc();
         let span_id = self.trace.next_span_id();
         let parent = self.trace.current_parent();
         let start_us = self.trace.now_us();
         let start = std::time::Instant::now();
-        let result = self.run_stage_inner(query, span_id, tasks, f);
+        let result = self.run_stage_inner(&query, span_id, tasks, f);
         if result.is_err() {
             self.stage_failed.inc();
         }
@@ -728,7 +682,7 @@ impl Cluster {
             return Err(StageError::Cancelled { query: query.id() });
         }
         let f = Arc::new(f);
-        let (tx, rx) = mpsc::channel::<(usize, usize, TaskResult<R>)>();
+        let (tx, rx) = mpsc::channel::<(usize, usize, Result<R, FailureReason>)>();
         let n = tasks.len();
         let rtt_ns = self.scheduler.dispatch_rtt_ns();
 
@@ -770,7 +724,7 @@ impl Cluster {
                 if cancelled {
                     // Popped after the owning query was cancelled: report
                     // without executing.
-                    let _ = tx.send((idx, worker, TaskResult::Failed(FailureReason::Cancelled)));
+                    let _ = tx.send((idx, worker, Err(FailureReason::Cancelled)));
                     return;
                 }
                 queue_wait_hist.record(dispatched.elapsed().as_nanos() as u64);
@@ -783,13 +737,11 @@ impl Cluster {
                 let start_us = trace.now_us();
                 let run_start = std::time::Instant::now();
                 let outcome = match catch_unwind(AssertUnwindSafe(|| f(ctx))) {
-                    Err(payload) => {
-                        TaskResult::Failed(FailureReason::Panicked(panic_message(payload)))
-                    }
+                    Err(payload) => Err(FailureReason::Panicked(panic_message(payload))),
                     // The worker died while we ran: the result may depend on
                     // cache state that was just wiped — discard and retry.
-                    Ok(_) if !alive.load(Relaxed) => TaskResult::Failed(FailureReason::WorkerLost),
-                    Ok(r) => TaskResult::Ok(r),
+                    Ok(_) if !alive.load(Relaxed) => Err(FailureReason::WorkerLost),
+                    Ok(r) => Ok(r),
                 };
                 run_hist.record(run_start.elapsed().as_nanos() as u64);
                 trace.record(|| SpanRecord {
@@ -828,18 +780,18 @@ impl Cluster {
                 continue; // stale duplicate from a superseded attempt
             }
             match outcome {
-                TaskResult::Ok(r) => {
+                Ok(r) => {
                     slots[idx] = Some(r);
                     remaining -= 1;
                 }
-                TaskResult::Failed(FailureReason::Cancelled) => {
+                Err(FailureReason::Cancelled) => {
                     // A queued attempt was dropped because the query was
                     // cancelled: abandon the stage. Attempts still running
                     // send into a closed channel harmlessly; no retry
                     // accounting — cancellation is not a failure.
                     return Err(StageError::Cancelled { query: query.id() });
                 }
-                TaskResult::Failed(reason) => {
+                Err(reason) => {
                     // Attempt-level accounting: every failed attempt counts
                     // here, with its cause; `task.terminal_failures` is
                     // reserved for *terminal* failures (retry exhaustion) so
@@ -894,38 +846,6 @@ impl Cluster {
             })
             .collect();
         self.run_stage(&tasks, f)
-    }
-
-    /// [`Cluster::run_stage`] with longest-processing-time dispatch: tasks
-    /// are enqueued heaviest-first (`weights[i]` estimates task `i`'s
-    /// cost), so a hot partition starts as early as possible instead of
-    /// landing last behind a queue of cheap tasks. Results come back in
-    /// the *original* task order — only the dispatch order changes, so
-    /// callers and retries are unaffected.
-    pub fn run_stage_weighted<R, F>(
-        &self,
-        tasks: &[TaskSpec],
-        weights: &[u64],
-        f: F,
-    ) -> Result<Vec<R>, StageError>
-    where
-        R: Send + 'static,
-        F: Fn(TaskContext) -> R + Send + Sync + 'static,
-    {
-        assert_eq!(tasks.len(), weights.len());
-        let mut order: Vec<usize> = (0..tasks.len()).collect();
-        // Stable sort: equal weights keep partition order (determinism).
-        order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-        let permuted: Vec<TaskSpec> = order.iter().map(|&i| tasks[i]).collect();
-        let results = self.run_stage(&permuted, f)?;
-        let mut slots: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
-        for (&i, r) in order.iter().zip(results) {
-            slots[i] = Some(r);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("missing weighted task result"))
-            .collect())
     }
 }
 
@@ -1019,11 +939,11 @@ mod tests {
         c.put_block(0, id, 1, Arc::new(1u32));
         c.put_block(1, id, 2, Arc::new(2u32)); // replayed copy after append
         assert!(
-            c.get_block_min_version(0, id, 2).is_none(),
+            c.get_block_at_version(0, id, 2).is_none(),
             "stale block served"
         );
         assert_eq!(
-            c.get_block_min_version(1, id, 2)
+            c.get_block_at_version(1, id, 2)
                 .unwrap()
                 .data
                 .downcast_ref::<u32>(),
@@ -1230,16 +1150,11 @@ mod tests {
         let c = cluster();
         let q = c.scheduler().new_query(1);
         q.cancel();
-        let err = c
-            .run_stage_for(
-                &q,
-                &[TaskSpec {
-                    partition: 0,
-                    preferred_worker: None,
-                }],
-                |_| (),
-            )
-            .unwrap_err();
+        let task = [TaskSpec {
+            partition: 0,
+            preferred_worker: None,
+        }];
+        let err = c.with_query(&q, || c.run_stage(&task, |_| ())).unwrap_err();
         assert_eq!(err, StageError::Cancelled { query: q.id() });
         assert_eq!(c.registry().counter_value("stage.failed"), 1);
     }
@@ -1273,9 +1188,11 @@ mod tests {
             })
             .collect();
         let err = c
-            .run_stage_for(&q, &tasks, move |_| {
-                executed2.fetch_add(1, Relaxed);
-                std::thread::sleep(std::time::Duration::from_millis(60));
+            .with_query(&q, || {
+                c.run_stage(&tasks, move |_| {
+                    executed2.fetch_add(1, Relaxed);
+                    std::thread::sleep(std::time::Duration::from_millis(60));
+                })
             })
             .unwrap_err();
         canceller.join().unwrap();
@@ -1317,8 +1234,10 @@ mod tests {
                             preferred_worker: Some(0),
                         })
                         .collect();
-                    c.run_stage_for(&q, &tasks, |_| {
-                        std::thread::sleep(std::time::Duration::from_millis(5))
+                    c.with_query(&q, || {
+                        c.run_stage(&tasks, |_| {
+                            std::thread::sleep(std::time::Duration::from_millis(5))
+                        })
                     })
                     .unwrap();
                 })
@@ -1416,18 +1335,14 @@ mod tests {
     #[test]
     fn exact_version_guard_rejects_newer_blocks() {
         // MVCC visibility bound: a reader pinned at version 2 must not be
-        // served a version-3 block, even though the min-version guard
-        // would accept it.
+        // served a version-3 block, though the block exists.
         let c = cluster();
         let id = BlockId {
             dataset: 11,
             partition: 0,
         };
         c.put_block(0, id, 3, Arc::new(3u32));
-        assert!(
-            c.get_block_min_version(0, id, 2).is_some(),
-            "floor guard accepts newer blocks (by design)"
-        );
+        assert!(c.get_block(0, id).is_some());
         assert!(
             c.get_block_at_version(0, id, 2).is_none(),
             "exact guard must reject a block newer than the snapshot"

@@ -12,8 +12,11 @@
 //! * locality-aware task scheduling with fallback when a worker is dead or
 //!   busy (§III-D), and fallible stage execution ([`Cluster::run_stage`])
 //!   that retries failed task attempts on surviving workers;
-//! * hash-partitioned [`shuffle::exchange`] and [`shuffle::broadcast`]
-//!   (§III-C "Scheduling Physical Operators");
+//! * the hash-partitioned row shuffle (§III-C "Scheduling Physical
+//!   Operators"): [`shuffle::exchange_rows`] and its skew-aware twin
+//!   [`shuffle::exchange_rows_adaptive`], which share one serialized map
+//!   side and one reduce body, plus [`shuffle::account_broadcast`] for the
+//!   operators that broadcast their own structures;
 //! * a per-worker **versioned block cache** — the partition version numbers
 //!   that keep appends consistent when stale copies exist (§III-D);
 //! * failure injection ([`Cluster::kill_worker`]) for the Fig. 12
@@ -43,10 +46,7 @@ pub mod metrics;
 pub mod scheduler;
 pub mod shuffle;
 
-pub use cluster::{
-    Block, BlockId, Cluster, FailureReason, StageError, TaskContext, TaskFailure, TaskResult,
-    TaskSpec,
-};
+pub use cluster::{Block, BlockId, Cluster, FailureReason, StageError, TaskContext, TaskSpec};
 pub use config::ClusterConfig;
 pub use memory::{BlockCharge, EvictionPolicy, MemoryGovernor, SpillFn};
 pub use metrics::{
@@ -57,7 +57,6 @@ pub use scheduler::{
     Admission, AdmissionGuard, AdmissionTicket, AdmitError, QueryId, QueryRef, Scheduler,
 };
 pub use shuffle::{
-    account_broadcast, broadcast, exchange, exchange_cloning, exchange_rows,
-    exchange_rows_adaptive, exchange_rows_stats, partition_of, plan_reduce_tasks, ExchangeStats,
-    ReduceTask, ShuffleCodec, ShuffleItem,
+    account_broadcast, exchange_rows, exchange_rows_adaptive, partition_of, plan_reduce_tasks,
+    row_bytes, ExchangeStats, ReduceTask, ShuffleCodec,
 };

@@ -25,11 +25,11 @@
 //!   [`crate::StageError::Cancelled`]). Tasks already running are allowed
 //!   to finish; cancellation granularity is the task boundary.
 //!
-//! Plain [`crate::Cluster::run_stage`] remains the compatibility surface:
-//! it attributes the stage to the ambient query installed by
+//! [`crate::Cluster::run_stage`] is the one stage entry point: it
+//! attributes the stage to the ambient query installed by
 //! [`crate::Cluster::with_query`] (a thread-local), or to a fresh
-//! single-use query that bypasses admission — so every pre-existing call
-//! site keeps working unchanged while participating in fair scheduling.
+//! single-use query that bypasses admission — so operators deep in a plan
+//! take part in fair scheduling without threading a query handle through.
 //!
 //! ## Simulated dispatch RTT
 //!

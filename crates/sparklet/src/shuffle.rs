@@ -1,31 +1,33 @@
-//! Shuffle: hash-partitioned data exchange between partitions.
+//! Shuffle: hash-partitioned row exchange between partitions.
 //!
 //! The paper's Indexed DataFrame is hash partitioned on the index column;
 //! index creation, appends and indexed joins all shuffle rows to the
 //! partition responsible for their key (§III-C). Fig. 10 shows append time
-//! is dominated by exactly this shuffle, so this layer is built to move
-//! data without copying it:
+//! is dominated by exactly this shuffle, so rows travel in a **serialized
+//! wire format**: the map side packs each partition's rows into
+//! length-prefixed binary blocks (the `rowstore` codec), one per
+//! destination, and the reduce side decodes them. Bytes are accounted
+//! *exactly* from block lengths, and allocation is amortized into one
+//! buffer per (map, reduce) pair.
 //!
-//! * [`exchange`] is **move-based**: a read-only counting stage sizes every
-//!   destination, then the driver drains the owned inputs into pre-sized
-//!   outputs — each item is moved exactly once and never cloned (the
-//!   signature has no `Clone` bound, so the compiler enforces it).
-//! * [`exchange_rows`] is the **serialized wire path** for `Row` streams:
-//!   the map side packs rows into length-prefixed binary blocks (the
-//!   `rowstore` codec), the reduce side decodes bucket `j` of every map
-//!   output. Bytes are accounted *exactly* from block lengths, and
-//!   allocation is amortized into one buffer per (map, reduce) pair.
-//! * [`broadcast`] materializes **one** copy and refcounts it per alive
-//!   worker (torrent-broadcast dedup) instead of deep-copying per worker.
+//! Two exchanges share that map side and one reduce body, and differ only
+//! in the reduce plan they hand it:
+//!
+//! * [`exchange_rows`] runs the identity plan — one task per output
+//!   partition;
+//! * [`exchange_rows_adaptive`] runs [`plan_reduce_tasks`], which splits
+//!   oversized partitions and coalesces near-empty ones.
+//!
+//! Broadcasts carry no data through this module: operators share one
+//! materialized copy per alive worker themselves and record the traffic
+//! with [`account_broadcast`].
 //!
 //! Retry safety: cluster stages may re-run a task after a panic or a
-//! mid-stage worker loss, so no stage task ever consumes its input. Both
-//! exchange variants snapshot their inputs behind an `Arc` and run only
-//! *read-only* work (counting / serializing / deserializing) on the
-//! cluster; a retried attempt therefore re-produces identical tallies or
-//! byte-identical blocks. The destructive hand-off — moving items into
-//! their output partitions — happens exactly once, after the stage has
-//! committed, when the snapshot is sole-owned again.
+//! mid-stage worker loss, so no stage task ever consumes its input. The map
+//! stage reads its input rows through an `Arc` snapshot and the reduce
+//! stage reads the committed blocks the same way; serialization and
+//! deserialization are pure, so a retried attempt re-produces
+//! byte-identical blocks or row-identical outputs.
 
 use crate::cluster::{Cluster, StageError, TaskSpec};
 use crate::metrics::{SpanKind, SpanRecord};
@@ -33,32 +35,16 @@ use rowstore::{BlockReader, BlockWriter, Row, Schema, Value};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Items that can cross the simulated network (for byte accounting).
-pub trait ShuffleItem: Send + 'static {
-    fn approx_bytes(&self) -> usize;
-}
-
-impl ShuffleItem for Vec<u8> {
-    fn approx_bytes(&self) -> usize {
-        self.len()
-    }
-}
-
-impl ShuffleItem for Row {
-    fn approx_bytes(&self) -> usize {
-        self.iter()
-            .map(|v| match v {
-                Value::Utf8(s) => 8 + s.len(),
-                _ => 8,
-            })
-            .sum()
-    }
-}
-
-impl<T: ShuffleItem> ShuffleItem for (u64, T) {
-    fn approx_bytes(&self) -> usize {
-        8 + self.1.approx_bytes()
-    }
+/// Estimated in-memory size of a row (8 bytes per value plus string
+/// payloads): the byte measure of broadcast accounting and of the planner's
+/// runtime size statistics. Shuffles account exact wire bytes instead.
+pub fn row_bytes(row: &Row) -> usize {
+    row.iter()
+        .map(|v| match v {
+            Value::Utf8(s) => 8 + s.len(),
+            _ => 8,
+        })
+        .sum()
 }
 
 /// Deterministically map a key hash to an output partition.
@@ -69,27 +55,9 @@ pub fn partition_of(key_hash: u64, num_partitions: usize) -> usize {
     ((key_hash as u128 * num_partitions as u128) >> 64) as usize
 }
 
-/// Reclaim sole ownership of a stage-input snapshot after its stage
-/// completed. The stage driver observes the final task's *result* a few
-/// instructions before the task closure (holding the other `Arc` clone)
-/// finishes dropping, so ownership can be contended very briefly — spin
-/// with `yield_now` instead of falling back to a copy.
-fn unwrap_unique<T>(mut shared: Arc<T>) -> T {
-    loop {
-        match Arc::try_unwrap(shared) {
-            Ok(v) => return v,
-            Err(still_shared) => {
-                shared = still_shared;
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-/// Per-partition observations from one exchange's counting stage — the
+/// Per-partition observations from one exchange's committed map side — the
 /// "free statistics pass" that adaptive execution feeds on. Rows and bytes
-/// are exact (block headers / block lengths on the wire path, counting
-/// tallies on the move path), not estimates.
+/// are exact (block headers and block lengths), not estimates.
 #[derive(Debug, Clone, Default)]
 pub struct ExchangeStats {
     pub per_partition_rows: Vec<u64>,
@@ -132,7 +100,7 @@ impl ExchangeStats {
     }
 }
 
-/// Shared metric/skew accounting for every exchange flavor.
+/// Metric and skew accounting of one committed exchange.
 ///
 /// The per-partition byte histogram is what shows a hot key (one bucket far
 /// above the rest), and `shuffle.skewed_partitions` counts partitions
@@ -178,120 +146,6 @@ fn record_exchange(
     reg.counter("shuffle.skewed_partitions").add(skewed);
 }
 
-/// Hash-partition each input partition's `(key_hash, item)` pairs into
-/// `num_out` output partitions and exchange them — **without cloning a
-/// single item** (note the missing `Clone` bound).
-///
-/// The map side runs as one read-only cluster task per input partition: a
-/// counting pass over the key hashes that sizes every destination bucket
-/// and accounts its bytes. Because the tasks only read the snapshot, a
-/// retried attempt (after a task panic or mid-stage worker loss)
-/// re-produces the same tallies. Once the stage commits, the driver drains
-/// the owned inputs into pre-sized outputs: one pointer-sized move per
-/// item — the simulated network transfer. Output partition `j` holds input
-/// partition 0's items for `j` (in input order), then input partition 1's,
-/// and so on; the intra-partition order is deterministic.
-///
-/// Returns `num_out` vectors, or the [`StageError`] of the counting stage.
-pub fn exchange<T: ShuffleItem + Sync>(
-    cluster: &Cluster,
-    inputs: Vec<Vec<(u64, T)>>,
-    num_out: usize,
-) -> Result<Vec<Vec<T>>, StageError> {
-    assert!(num_out > 0);
-    let start = Instant::now();
-    let num_in = inputs.len();
-    let inputs = Arc::new(inputs);
-
-    // Map side: count rows and bytes per destination, in parallel on the
-    // cluster. Read-only → safe to re-run on retry.
-    let inputs_for_tasks = Arc::clone(&inputs);
-    let tallies: Vec<(Vec<usize>, Vec<u64>)> =
-        cluster.run_stage_partitions(num_in, move |ctx| {
-            let mut counts = vec![0usize; num_out];
-            let mut bytes = vec![0u64; num_out];
-            for (h, item) in &inputs_for_tasks[ctx.partition] {
-                let j = partition_of(*h, num_out);
-                counts[j] += 1;
-                bytes[j] += item.approx_bytes() as u64;
-            }
-            (counts, bytes)
-        })?;
-
-    let mut per_partition_bytes = vec![0u64; num_out];
-    let mut per_partition_rows = vec![0u64; num_out];
-    let mut outputs: Vec<Vec<T>> = (0..num_out)
-        .map(|j| {
-            let c: usize = tallies.iter().map(|(counts, _)| counts[j]).sum();
-            per_partition_rows[j] = c as u64;
-            Vec::with_capacity(c)
-        })
-        .collect();
-    for (j, b) in per_partition_bytes.iter_mut().enumerate() {
-        *b = tallies.iter().map(|(_, bytes)| bytes[j]).sum();
-    }
-
-    // The "network": reclaim the snapshot (every map closure has finished)
-    // and move each item straight into its pre-sized destination.
-    for part in unwrap_unique(inputs) {
-        for (h, item) in part {
-            outputs[partition_of(h, num_out)].push(item);
-        }
-    }
-
-    record_exchange(cluster, start, &per_partition_rows, &per_partition_bytes);
-    Ok(outputs)
-}
-
-/// The pre-zero-copy reference exchange: map tasks clone every item into
-/// buckets, reduce tasks clone every bucket into outputs. Kept as the
-/// regression baseline for the shuffle throughput bench (`figures --
-/// shuffle`) and the clone-counting tests; production call sites use
-/// [`exchange`] or [`exchange_rows`].
-pub fn exchange_cloning<T: ShuffleItem + Clone + Sync>(
-    cluster: &Cluster,
-    inputs: Vec<Vec<(u64, T)>>,
-    num_out: usize,
-) -> Result<Vec<Vec<T>>, StageError> {
-    assert!(num_out > 0);
-    let start = Instant::now();
-    let inputs = Arc::new(inputs);
-
-    let inputs_for_tasks = Arc::clone(&inputs);
-    let buckets: Vec<Vec<Vec<T>>> = cluster.run_stage_partitions(inputs.len(), move |ctx| {
-        let mut out: Vec<Vec<T>> = (0..num_out).map(|_| Vec::new()).collect();
-        for (h, item) in &inputs_for_tasks[ctx.partition] {
-            out[partition_of(*h, num_out)].push(item.clone());
-        }
-        out
-    })?;
-
-    let buckets = Arc::new(buckets);
-    let regrouped: Vec<(Vec<T>, u64, u64)> = cluster.run_stage_partitions(num_out, move |ctx| {
-        let mut out: Vec<T> = Vec::new();
-        let mut rows = 0u64;
-        let mut bytes = 0u64;
-        for map_out in buckets.iter() {
-            let bucket = &map_out[ctx.partition];
-            rows += bucket.len() as u64;
-            bytes += bucket.iter().map(|i| i.approx_bytes() as u64).sum::<u64>();
-            out.extend(bucket.iter().cloned());
-        }
-        (out, rows, bytes)
-    })?;
-
-    let mut outputs: Vec<Vec<T>> = Vec::with_capacity(num_out);
-    let mut per_partition_rows: Vec<u64> = Vec::with_capacity(num_out);
-    let mut per_partition_bytes: Vec<u64> = Vec::with_capacity(num_out);
-    for (out, r, b) in regrouped {
-        per_partition_rows.push(r);
-        per_partition_bytes.push(b);
-        outputs.push(out);
-    }
-    record_exchange(cluster, start, &per_partition_rows, &per_partition_bytes);
-    Ok(outputs)
-}
-
 /// The shuffle wire format for `Row` streams: rows are packed into
 /// length-prefixed binary blocks (`rowstore`'s row codec inside
 /// [`BlockWriter`] framing) keyed by destination partition. One block per
@@ -331,28 +185,16 @@ impl ShuffleCodec {
             .map(|r| r.num_rows())
             .unwrap_or(0)
     }
-
-    /// Decode every row of a block, appending to `out`.
-    pub fn decode_into(&self, block: &[u8], out: &mut Vec<Row>) {
-        let reader = BlockReader::new(&self.schema, block)
-            .unwrap_or_else(|e| panic!("shuffle codec: corrupt block header: {e}"));
-        for row in reader {
-            out.push(row.unwrap_or_else(|e| panic!("shuffle codec: corrupt block: {e}")));
-        }
-    }
 }
 
-/// Hash-partition `Row` streams through the serialized wire format.
+/// Hash-partition `Row` streams through the serialized wire format, one
+/// reduce task per output partition.
 ///
 /// Map side (one cluster task per input partition): pack each partition's
 /// rows into `num_out` length-prefixed blocks. Reduce side (one cluster
-/// task per output partition): decode block `j` of every map output into a
-/// vector pre-sized from the block headers. Both sides only *read* their
-/// `Arc` snapshot (serialization and deserialization are pure), so a task
-/// retried after a panic or mid-stage worker loss re-produces
-/// byte-identical blocks / row-identical outputs, and the source rows are
-/// freed as soon as the map stage commits — only packed bytes cross the
-/// stage boundary.
+/// task per output partition, on the partition's home worker): decode
+/// block `j` of every map output into a vector pre-sized from the block
+/// headers.
 ///
 /// Output partition `j` holds map partition 0's rows for `j` (in input
 /// order), then map partition 1's, and so on.
@@ -362,91 +204,16 @@ pub fn exchange_rows(
     inputs: Vec<Vec<(u64, Row)>>,
     num_out: usize,
 ) -> Result<Vec<Vec<Row>>, StageError> {
-    exchange_rows_stats(cluster, schema, inputs, num_out).map(|(out, _)| out)
+    let one_task_per_partition = |rows: &[u64]| {
+        (0..rows.len())
+            .map(|j| ReduceTask::Whole { parts: vec![j] })
+            .collect()
+    };
+    exchange_rows_planned(cluster, schema, inputs, num_out, one_task_per_partition)
+        .map(|(out, _)| out)
 }
 
-/// [`exchange_rows`] that also returns the per-partition row/byte
-/// [`ExchangeStats`] the counting stage produced — the statistics are free
-/// (the map side already wrote exact row counts and block lengths into the
-/// wire headers), so consumers that want to *act* on them (adaptive join
-/// operators, skew-aware index builds) pay nothing extra.
-pub fn exchange_rows_stats(
-    cluster: &Cluster,
-    schema: &Arc<Schema>,
-    inputs: Vec<Vec<(u64, Row)>>,
-    num_out: usize,
-) -> Result<(Vec<Vec<Row>>, ExchangeStats), StageError> {
-    assert!(num_out > 0);
-    let start = Instant::now();
-    let codec = Arc::new(ShuffleCodec::new(Arc::clone(schema)));
-    let (blocks, num_in) = map_side_blocks(cluster, &codec, inputs, num_out)?;
-
-    // Reduce side: decode bucket j of every map output. Blocks are shared
-    // read-only via Arc → retry-safe; bytes are exact block lengths.
-    let blocks_for_tasks = Arc::clone(&blocks);
-    let reduce_codec = Arc::clone(&codec);
-    let regrouped: Vec<(Vec<Row>, u64, u64)> =
-        cluster.run_stage_partitions(num_out, move |ctx| {
-            let total_rows: usize = blocks_for_tasks
-                .iter()
-                .map(|m| reduce_codec.block_rows(&m[ctx.partition]))
-                .sum();
-            let mut out: Vec<Row> = Vec::with_capacity(total_rows);
-            let mut bytes = 0u64;
-            for map_out in blocks_for_tasks.iter() {
-                let block = &map_out[ctx.partition];
-                bytes += block.len() as u64;
-                reduce_codec.decode_into(block, &mut out);
-            }
-            (out, total_rows as u64, bytes)
-        })?;
-
-    let mut outputs: Vec<Vec<Row>> = Vec::with_capacity(num_out);
-    let mut stats = ExchangeStats::default();
-    for (out, r, b) in regrouped {
-        stats.per_partition_rows.push(r);
-        stats.per_partition_bytes.push(b);
-        outputs.push(out);
-    }
-    cluster
-        .registry()
-        .counter("shuffle.blocks")
-        .add((num_in * num_out) as u64);
-    record_exchange(
-        cluster,
-        start,
-        &stats.per_partition_rows,
-        &stats.per_partition_bytes,
-    );
-    Ok((outputs, stats))
-}
-
-/// The committed map side of a row exchange: one encoded block per
-/// (map partition, reduce partition) pair, `Arc`-shared into reduce tasks.
-type BlockMatrix = Arc<Vec<Vec<Vec<u8>>>>;
-
-/// Run the serializing map side of a row exchange and return the committed
-/// block matrix (`blocks[map][reduce]`). Shared by the static and adaptive
-/// reduce paths; the source rows are freed as soon as the stage commits.
-fn map_side_blocks(
-    cluster: &Cluster,
-    codec: &Arc<ShuffleCodec>,
-    inputs: Vec<Vec<(u64, Row)>>,
-    num_out: usize,
-) -> Result<(BlockMatrix, usize), StageError> {
-    let num_in = inputs.len();
-    let inputs = Arc::new(inputs);
-    let inputs_for_tasks = Arc::clone(&inputs);
-    let map_codec = Arc::clone(codec);
-    let blocks: Vec<Vec<Vec<u8>>> = cluster.run_stage_partitions(num_in, move |ctx| {
-        map_codec.encode_buckets(&inputs_for_tasks[ctx.partition], num_out)
-    })?;
-    // The source rows die here; only the packed blocks travel on.
-    drop(inputs);
-    Ok((Arc::new(blocks), num_in))
-}
-
-/// One task of an adaptive reduce plan.
+/// One task of a reduce plan.
 ///
 /// `Whole` decodes one or more *entire* output partitions (several when
 /// near-empty partitions are coalesced into one task); `Slice` decodes the
@@ -465,7 +232,7 @@ pub enum ReduceTask {
     },
 }
 
-/// Plan the reduce side from the counting stage's per-partition row counts:
+/// Plan the reduce side from the map side's exact per-partition row counts:
 /// split partitions above the configured skew threshold into near-mean row
 /// ranges, coalesce runs of near-empty partitions (< ¼ of the mean) into
 /// single tasks, and leave the rest one-task-per-partition.
@@ -552,10 +319,35 @@ pub fn exchange_rows_adaptive(
     inputs: Vec<Vec<(u64, Row)>>,
     num_out: usize,
 ) -> Result<(Vec<Vec<Row>>, ExchangeStats), StageError> {
+    exchange_rows_planned(cluster, schema, inputs, num_out, |rows| {
+        plan_reduce_tasks(cluster.config(), rows)
+    })
+}
+
+/// The body of both row exchanges: serialize on the map side, read exact
+/// per-partition statistics off the committed blocks, let `plan_reduce`
+/// turn the row counts into reduce tasks, decode, and reassemble.
+fn exchange_rows_planned(
+    cluster: &Cluster,
+    schema: &Arc<Schema>,
+    inputs: Vec<Vec<(u64, Row)>>,
+    num_out: usize,
+    plan_reduce: impl FnOnce(&[u64]) -> Vec<ReduceTask>,
+) -> Result<(Vec<Vec<Row>>, ExchangeStats), StageError> {
     assert!(num_out > 0);
     let start = Instant::now();
     let codec = Arc::new(ShuffleCodec::new(Arc::clone(schema)));
-    let (blocks, num_in) = map_side_blocks(cluster, &codec, inputs, num_out)?;
+    let num_in = inputs.len();
+
+    // Map side: one encode task per input partition. The source rows die
+    // with the stage; only the packed blocks (`blocks[map][reduce]`)
+    // travel on.
+    let inputs = Arc::new(inputs);
+    let map_codec = Arc::clone(&codec);
+    let blocks: Arc<Vec<Vec<Vec<u8>>>> =
+        Arc::new(cluster.run_stage_partitions(num_in, move |ctx| {
+            map_codec.encode_buckets(&inputs[ctx.partition], num_out)
+        })?);
 
     // The free statistics pass: exact per-partition rows and bytes from the
     // committed block headers/lengths — no extra cluster stage.
@@ -570,90 +362,65 @@ pub fn exchange_rows_adaptive(
         }
     }
 
-    let plan = plan_reduce_tasks(cluster.config(), &stats.per_partition_rows);
+    let plan = plan_reduce(&stats.per_partition_rows);
     record_reduce_plan_decisions(cluster, &plan, &stats);
 
-    // Reduce side: one task per plan entry. Tasks only read the shared
-    // block matrix → retry-safe; the plan itself was fixed above from
-    // committed map outputs, so a retried attempt re-runs the same slice.
-    // `ctx.partition` carries the plan index (the task body looks its
-    // entry up); locality still follows the home partition's worker.
-    // Dispatch is weighted — heaviest slices first — so the hot
-    // partition's work starts immediately.
-    let specs_idx: Vec<TaskSpec> = plan
+    // Reduce side: one task per plan entry, each decoding a list of
+    // `(part, skip, take)` row ranges — a whole partition is the range
+    // `(j, 0, rows[j])`. `ctx.partition` carries the plan index; locality
+    // follows the entry's first partition. Tasks are dispatched
+    // heaviest-first (longest-processing-time order) so a hot partition's
+    // work starts immediately. Tasks only read the shared blocks, and the
+    // plan was fixed above from committed map outputs, so a retried
+    // attempt re-decodes the same ranges.
+    let ranges: Vec<Vec<(usize, usize, usize)>> = plan
+        .iter()
+        .map(|task| match task {
+            ReduceTask::Whole { parts } => parts
+                .iter()
+                .map(|&j| (j, 0, stats.per_partition_rows[j] as usize))
+                .collect(),
+            ReduceTask::Slice { part, skip, take } => vec![(*part, *skip, *take)],
+        })
+        .collect();
+    let mut specs: Vec<TaskSpec> = ranges
         .iter()
         .enumerate()
-        .map(|(i, t)| {
-            let home = match t {
-                ReduceTask::Whole { parts } => parts[0],
-                ReduceTask::Slice { part, .. } => *part,
-            };
-            TaskSpec {
-                partition: i,
-                preferred_worker: Some(cluster.worker_for_partition(home)),
-            }
+        .map(|(i, r)| TaskSpec {
+            partition: i,
+            preferred_worker: Some(cluster.worker_for_partition(r[0].0)),
         })
         .collect();
-    let weights: Vec<u64> = plan
-        .iter()
-        .map(|t| match t {
-            ReduceTask::Whole { parts } => parts.iter().map(|&j| stats.per_partition_rows[j]).sum(),
-            ReduceTask::Slice { take, .. } => *take as u64,
-        })
-        .collect();
-    let plan_for_tasks: Arc<Vec<ReduceTask>> = Arc::new(plan.clone());
-
-    let blocks_for_tasks = Arc::clone(&blocks);
-    let reduce_codec = Arc::clone(&codec);
-    let piece_results: Vec<Vec<(usize, usize, Vec<Row>)>> =
-        cluster.run_stage_weighted(&specs_idx, &weights, move |ctx| {
-            let task = &plan_for_tasks[ctx.partition];
-            let mut pieces: Vec<(usize, usize, Vec<Row>)> = Vec::new();
-            match task {
-                ReduceTask::Whole { parts } => {
-                    for &j in parts {
-                        let total: usize = blocks_for_tasks
-                            .iter()
-                            .map(|m| reduce_codec.block_rows(&m[j]))
-                            .sum();
-                        let mut out = Vec::with_capacity(total);
-                        for map_out in blocks_for_tasks.iter() {
-                            reduce_codec.decode_into(&map_out[j], &mut out);
-                        }
-                        pieces.push((j, 0, out));
-                    }
-                }
-                ReduceTask::Slice { part, skip, take } => {
-                    let mut out = Vec::with_capacity(*take);
-                    decode_slice(
-                        &reduce_codec,
-                        &blocks_for_tasks,
-                        *part,
-                        *skip,
-                        *take,
-                        &mut out,
-                    );
-                    pieces.push((*part, *skip, out));
-                }
-            }
-            pieces
-        })?;
+    let weight = |i: usize| -> usize { ranges[i].iter().map(|&(_, _, take)| take).sum() };
+    // Stable: equal weights keep plan order.
+    specs.sort_by_key(|spec| std::cmp::Reverse(weight(spec.partition)));
+    let ranges = Arc::new(ranges);
+    let pieces: Vec<Vec<(usize, usize, Vec<Row>)>> = cluster.run_stage(&specs, move |ctx| {
+        ranges[ctx.partition]
+            .iter()
+            .map(|&(part, skip, take)| {
+                let mut out = Vec::with_capacity(take);
+                decode_slice(&codec, &blocks, part, skip, take, &mut out);
+                (part, skip, out)
+            })
+            .collect()
+    })?;
 
     // Reassemble: pieces of each partition ordered by row offset — the
-    // concatenation is byte-for-byte what the static reduce would produce.
+    // concatenation is the partition's map-order row stream.
     let mut per_part: Vec<Vec<(usize, Vec<Row>)>> = (0..num_out).map(|_| Vec::new()).collect();
-    for pieces in piece_results {
-        for (j, skip, rows) in pieces {
-            per_part[j].push((skip, rows));
-        }
+    for (part, skip, rows) in pieces.into_iter().flatten() {
+        per_part[part].push((skip, rows));
     }
     let outputs: Vec<Vec<Row>> = per_part
         .into_iter()
-        .enumerate()
-        .map(|(j, mut pieces)| {
-            pieces.sort_by_key(|(skip, _)| *skip);
-            let mut out = Vec::with_capacity(stats.per_partition_rows[j] as usize);
-            for (_, rows) in pieces {
+        .zip(&stats.per_partition_rows)
+        .map(|(mut part, &total)| {
+            part.sort_by_key(|(skip, _)| *skip);
+            let mut part = part.into_iter().map(|(_, rows)| rows);
+            let mut out = part.next().unwrap_or_default();
+            out.reserve(total as usize - out.len());
+            for rows in part {
                 out.extend(rows);
             }
             out
@@ -770,33 +537,15 @@ fn record_reduce_plan_decisions(cluster: &Cluster, plan: &[ReduceTask], stats: &
     }
 }
 
-/// Replicate `data` to every alive worker (a broadcast variable): **one**
-/// materialized copy, refcounted per alive worker — the memory behaviour
-/// of Spark's torrent broadcast after all chunks arrive, where workers
-/// share the reassembled value instead of deep-copying it per reference.
-/// Dead workers get `None` — never a silently empty copy a task could
-/// mistake for real (empty) data.
-///
-/// Metrics keep the copies-vs-bytes distinction: `broadcast.copies` and
-/// `broadcast.bytes` account one payload of wire traffic *per alive
-/// worker* (each worker fetches the value over the network exactly once),
-/// while `broadcast.unique_bytes` records the deduplicated in-memory
-/// footprint.
-pub fn broadcast<T: ShuffleItem>(cluster: &Cluster, data: Vec<T>) -> Vec<Option<Arc<Vec<T>>>> {
-    let unique_bytes: u64 = data.iter().map(|i| i.approx_bytes() as u64).sum();
-    let shared = Arc::new(data);
-    let handles: Vec<Option<Arc<Vec<T>>>> = (0..cluster.num_workers())
-        .map(|w| cluster.is_alive(w).then(|| Arc::clone(&shared)))
-        .collect();
-    let copies = handles.iter().flatten().count() as u64;
-    account_broadcast(cluster, unique_bytes, copies);
-    handles
-}
-
 /// Record broadcast traffic for `unique_bytes` materialized once and
-/// handed to `copies` workers (shared by [`broadcast`] and the operators
-/// that broadcast their own structures, e.g. the broadcast-hash join's
-/// build table).
+/// handed to `copies` workers. Operators broadcast their own structures
+/// (the broadcast-hash join's build table, the indexed join's probe rows)
+/// as one `Arc` shared by every worker's tasks — the memory behaviour of
+/// Spark's torrent broadcast after all chunks arrive — and call this to
+/// account for it: `broadcast.copies` and `broadcast.bytes` count one
+/// payload of wire traffic *per alive worker* (each worker fetches the
+/// value once), while `broadcast.unique_bytes` records the deduplicated
+/// in-memory footprint.
 ///
 /// Besides the cumulative traffic counters, the broadcast is registered in
 /// the memory governor's *live* ledger, refcounted on the workers that
@@ -821,7 +570,6 @@ mod tests {
     use super::*;
     use crate::config::ClusterConfig;
     use rowstore::{DataType, Field};
-    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     #[test]
     fn partition_of_is_stable_and_in_range() {
@@ -848,46 +596,15 @@ mod tests {
     }
 
     #[test]
-    fn exchange_groups_by_key() {
-        let c = Cluster::new(ClusterConfig::test_small());
-        let num_out = 4;
-        // Two input partitions with interleaved keys.
-        let inputs: Vec<Vec<(u64, Vec<u8>)>> = vec![
-            (0..100u64).map(|k| (k, vec![k as u8])).collect(),
-            (0..100u64).map(|k| (k, vec![k as u8])).collect(),
-        ];
-        let out = exchange(&c, inputs, num_out).unwrap();
-        assert_eq!(out.len(), num_out);
-        assert_eq!(out.iter().map(|p| p.len()).sum::<usize>(), 200);
-        // Same key must land in the same output partition from both inputs.
-        for k in 0..100u64 {
-            let p = partition_of(k, num_out);
-            let count = out[p].iter().filter(|b| b[0] == k as u8).count();
-            assert_eq!(count, 2, "key {k} not co-located");
-        }
-        let r = c.registry();
-        let bytes = r.counter_value("shuffle.bytes");
-        assert!(bytes >= 200);
-        assert!(r.counter_value("phase.shuffle_ns") > 0);
-        assert_eq!(r.counter_value("shuffle.exchanges"), 1);
-        assert_eq!(r.counter_value("shuffle.rows"), 200);
-        let h = r.histogram_snapshot("shuffle.partition_bytes").unwrap();
-        assert_eq!(h.count, num_out as u64, "one sample per output partition");
-        assert_eq!(h.sum, bytes);
-    }
-
-    #[test]
     fn exchange_outputs_are_presized() {
         let c = Cluster::new(ClusterConfig::test_small());
-        let inputs: Vec<Vec<(u64, Vec<u8>)>> = vec![(0..1000u64)
-            .map(|k| (rowstore::Value::Int64(k as i64).key_hash(), vec![k as u8]))
-            .collect()];
-        let out = exchange(&c, inputs, 4).unwrap();
+        let inputs = vec![(0..1000).map(|k| keyed_row(k, "x")).collect()];
+        let out = exchange_rows(&c, &wire_schema(), inputs, 4).unwrap();
         for p in &out {
             assert_eq!(
                 p.capacity(),
                 p.len(),
-                "counting pass must pre-size each bucket exactly"
+                "block headers must pre-size each output exactly"
             );
         }
     }
@@ -895,113 +612,40 @@ mod tests {
     #[test]
     fn exchange_single_output() {
         let c = Cluster::new(ClusterConfig::test_small());
-        let inputs: Vec<Vec<(u64, Vec<u8>)>> =
-            vec![vec![(1, vec![1]), (2, vec![2])], vec![(3, vec![3])]];
-        let out = exchange(&c, inputs, 1).unwrap();
+        let inputs = vec![
+            vec![keyed_row(1, "a"), keyed_row(2, "b")],
+            vec![keyed_row(3, "c")],
+        ];
+        let out = exchange_rows(&c, &wire_schema(), inputs, 1).unwrap();
         assert_eq!(out[0].len(), 3);
     }
 
     #[test]
-    fn exchange_survives_mid_stage_worker_kill() {
-        // Kill a worker from inside a map task: the map attempts running
-        // there are discarded as WorkerLost and retried on survivors, and
-        // the exchange still delivers every input item exactly once.
-        let c = Cluster::new(ClusterConfig {
-            workers: 3,
-            executors_per_worker: 2,
-            cores_per_executor: 2,
-            max_task_attempts: 4,
-            skew_ratio: 2.0,
-        });
-        let killer = c.clone();
-        let chaos = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            killer.kill_worker(1);
-        });
-        let inputs: Vec<Vec<(u64, Vec<u8>)>> = (0..6)
-            .map(|p| {
-                (0..2000u64)
-                    .map(|k| (k * 7 + p, vec![p as u8, k as u8]))
-                    .collect()
-            })
-            .collect();
-        // Whether or not the kill lands inside the stage, the multiset of
-        // delivered items must equal the input multiset.
-        let out = exchange(&c, inputs.clone(), 4).unwrap();
-        let mut delivered: Vec<Vec<u8>> = out.into_iter().flatten().collect();
-        let mut expected: Vec<Vec<u8>> =
-            inputs.into_iter().flatten().map(|(_, item)| item).collect();
-        delivered.sort();
-        expected.sort();
-        assert_eq!(delivered, expected);
-        chaos.join().unwrap();
-    }
-
-    /// An item whose clones are counted. The zero-copy exchange must never
-    /// clone (its signature does not even admit it — this test pins the
-    /// runtime behaviour too, via the cloning baseline as a positive
-    /// control in the same test to avoid counter cross-talk).
-    #[derive(Debug, PartialEq)]
-    struct CloneCounter(u64);
-
-    static CLONES: AtomicUsize = AtomicUsize::new(0);
-
-    impl Clone for CloneCounter {
-        fn clone(&self) -> Self {
-            CLONES.fetch_add(1, Relaxed);
-            CloneCounter(self.0)
-        }
-    }
-
-    impl ShuffleItem for CloneCounter {
-        fn approx_bytes(&self) -> usize {
-            8
-        }
-    }
-
-    #[test]
-    fn exchange_performs_zero_clones() {
-        let c = Cluster::new(ClusterConfig::test_small());
-        let make_inputs = || -> Vec<Vec<(u64, CloneCounter)>> {
-            (0..4)
-                .map(|p| (0..500u64).map(|k| (k * 13 + p, CloneCounter(k))).collect())
-                .collect()
-        };
-
-        CLONES.store(0, Relaxed);
-        let out = exchange(&c, make_inputs(), 8).unwrap();
-        assert_eq!(out.iter().map(Vec::len).sum::<usize>(), 2000);
-        assert_eq!(
-            CLONES.load(Relaxed),
-            0,
-            "move-based exchange must not clone any item"
-        );
-
-        // Positive control: the cloning baseline really does clone, so the
-        // counter instrument is live.
-        let out = exchange_cloning(&c, make_inputs(), 8).unwrap();
-        assert_eq!(out.iter().map(Vec::len).sum::<usize>(), 2000);
-        assert!(
-            CLONES.load(Relaxed) >= 2 * 2000,
-            "cloning baseline clones map-side and reduce-side"
-        );
-    }
-
-    #[test]
     fn skew_detected_even_on_tiny_exchanges() {
-        // Regression: with a truncating mean, 4 one-byte items into 8
-        // partitions gave mean = 4/8 = 0 and the `mean > 0` guard silently
-        // disabled skew detection. The rounded mean (floor 1) catches the
-        // deliberately hot key below.
+        // Regression: with a truncating mean, 4 bytes over 8 partitions gave
+        // mean = 4/8 = 0 and the `mean > 0` guard silently disabled skew
+        // detection. The rounded mean (floor 1) flags the hot partition.
         let c = Cluster::new(ClusterConfig::test_small());
-        let hot = rowstore::Value::Int64(42).key_hash();
-        let inputs: Vec<Vec<(u64, Vec<u8>)>> = vec![(0..4).map(|_| (hot, vec![0u8])).collect()];
-        exchange(&c, inputs, 8).unwrap();
+        let hot = [4, 0, 0, 0, 0, 0, 0, 0];
+        record_exchange(&c, Instant::now(), &hot, &hot);
+        assert_eq!(c.registry().counter_value("shuffle.skewed_partitions"), 1);
+
+        // The same shape through a real exchange: four rows of one hot key
+        // into eight partitions.
+        let c = Cluster::new(ClusterConfig::test_small());
+        let inputs = vec![(0..4).map(|_| keyed_row(42, "")).collect()];
+        exchange_rows(&c, &wire_schema(), inputs, 8).unwrap();
         assert_eq!(
             c.registry().counter_value("shuffle.skewed_partitions"),
             1,
-            "the hot partition (4 bytes vs rounded mean 1) must be flagged"
+            "the hot partition must be flagged"
         );
+    }
+
+    /// One row over [`wire_schema`], keyed by the hash of `k`.
+    fn keyed_row(k: i64, tag: &str) -> (u64, Row) {
+        let row: Row = vec![Value::Int64(k), Value::Utf8(tag.into()), Value::Null];
+        (Value::Int64(k).key_hash(), row)
     }
 
     fn wire_schema() -> Arc<Schema> {
@@ -1052,14 +696,17 @@ mod tests {
         assert_eq!(delivered, expected);
 
         let r = c.registry();
+        assert_eq!(r.counter_value("shuffle.exchanges"), 1);
         assert_eq!(r.counter_value("shuffle.rows"), 300);
+        assert!(r.counter_value("phase.shuffle_ns") > 0);
         // Exact wire accounting: 12 blocks (3 maps × 4 reducers), each with
         // a 4-byte header, plus a 4-byte length prefix per row.
         assert_eq!(r.counter_value("shuffle.blocks"), 12);
-        assert!(
-            r.counter_value("shuffle.bytes") > 300 * 4,
-            "length prefixes alone exceed this"
-        );
+        let bytes = r.counter_value("shuffle.bytes");
+        assert!(bytes > 300 * 4, "length prefixes alone exceed this");
+        let h = r.histogram_snapshot("shuffle.partition_bytes").unwrap();
+        assert_eq!(h.count, 4, "one sample per output partition");
+        assert_eq!(h.sum, bytes);
     }
 
     #[test]
@@ -1073,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_shares_one_copy_across_alive_workers() {
+    fn account_broadcast_charges_each_alive_worker_once() {
         let c = Cluster::new(ClusterConfig {
             workers: 3,
             executors_per_worker: 1,
@@ -1082,20 +729,17 @@ mod tests {
             skew_ratio: 2.0,
         });
         c.kill_worker(1);
-        let copies = broadcast(&c, vec![vec![1u8, 2, 3], vec![4u8]]);
-        assert_eq!(copies.len(), 3);
-        assert_eq!(copies[0].as_ref().unwrap().len(), 2);
-        assert!(copies[1].is_none(), "dead worker gets nothing");
-        assert_eq!(copies[2].as_ref().unwrap().len(), 2);
-        assert!(
-            Arc::ptr_eq(copies[0].as_ref().unwrap(), copies[2].as_ref().unwrap()),
-            "torrent dedup: every worker refs the same materialized value"
-        );
+        account_broadcast(&c, 4, c.alive_workers().len() as u64);
         // Copies-vs-bytes distinction: wire traffic per worker, memory once.
         let r = c.registry();
         assert_eq!(r.counter_value("broadcast.copies"), 2);
         assert_eq!(r.counter_value("broadcast.bytes"), 8); // 4 bytes × 2 workers
         assert_eq!(r.counter_value("broadcast.unique_bytes"), 4);
+        assert_eq!(
+            c.memory().broadcast_live(),
+            (2, 8),
+            "the dead worker holds no copy"
+        );
     }
 
     #[test]
@@ -1111,7 +755,7 @@ mod tests {
             max_task_attempts: 4,
             skew_ratio: 2.0,
         });
-        broadcast(&c, vec![vec![0u8; 100]]);
+        account_broadcast(&c, 100, 3);
         assert_eq!(c.memory().broadcast_live(), (3, 300));
         let r = c.registry();
         assert_eq!(r.gauge_value("broadcast.live_copies"), 3);
@@ -1135,9 +779,9 @@ mod tests {
     }
 
     #[test]
-    fn row_shuffle_item_accounts_strings() {
+    fn row_bytes_accounts_strings() {
         let row: Row = vec![Value::Int64(1), Value::Utf8("abcde".into())];
-        assert_eq!(row.approx_bytes(), 8 + 8 + 5);
+        assert_eq!(row_bytes(&row), 8 + 8 + 5);
     }
 
     #[test]
@@ -1223,6 +867,9 @@ mod tests {
         let schema = wire_schema();
         let inputs = skewed_row_inputs(3, 400);
         let static_out = exchange_rows(&c, &schema, inputs.clone(), 4).unwrap();
+        // The static exchange runs the identity plan: no split, no coalesce.
+        assert_eq!(c.registry().counter_value("adaptive.splits"), 0);
+        assert_eq!(c.registry().counter_value("adaptive.coalesces"), 0);
         let (adaptive_out, stats) = exchange_rows_adaptive(&c, &schema, inputs, 4).unwrap();
         // Ordered equality, not multiset: the reassembled slices must
         // reproduce the exact static row order in every partition.
@@ -1322,9 +969,8 @@ mod tests {
     #[test]
     fn max_partition_rows_gauge_tracks_hottest_bucket() {
         let c = Cluster::new(ClusterConfig::test_small());
-        let hot = Value::Int64(7).key_hash();
-        let inputs: Vec<Vec<(u64, Vec<u8>)>> = vec![(0..50).map(|_| (hot, vec![1u8])).collect()];
-        exchange(&c, inputs, 4).unwrap();
+        let inputs = vec![(0..50).map(|_| keyed_row(7, "hot")).collect()];
+        exchange_rows(&c, &wire_schema(), inputs, 4).unwrap();
         assert_eq!(
             c.registry().gauge_value("shuffle.max_partition_rows"),
             50,

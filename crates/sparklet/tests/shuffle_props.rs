@@ -2,8 +2,10 @@
 
 use proptest::prelude::*;
 use rowstore::{DataType, Field, Row, Schema, Value};
-use sparklet::{exchange, exchange_rows, partition_of, Cluster, ClusterConfig, TaskSpec};
-use std::collections::HashMap;
+use sparklet::{
+    exchange_rows, exchange_rows_adaptive, partition_of, Cluster, ClusterConfig, ShuffleCodec,
+    TaskSpec,
+};
 use std::sync::Arc;
 
 /// Wire schema for the serialized-exchange properties: a key column, a
@@ -16,11 +18,15 @@ fn wire_schema() -> Arc<Schema> {
     ])
 }
 
-/// Strategy for one partition of keyed rows over [`wire_schema`].
-fn keyed_rows(max: usize) -> impl Strategy<Value = Vec<(u64, Row)>> {
+/// Strategy for one partition of keyed rows over [`wire_schema`], with
+/// keys drawn from `keys`.
+fn keyed_rows(
+    max: usize,
+    keys: impl Strategy<Value = i64>,
+) -> impl Strategy<Value = Vec<(u64, Row)>> {
     proptest::collection::vec(
         (
-            any::<i64>(),
+            keys,
             "[a-zA-Z0-9 ]{0,12}",
             proptest::option::of(any::<i64>()),
         ),
@@ -41,6 +47,12 @@ fn keyed_rows(max: usize) -> impl Strategy<Value = Vec<(u64, Row)>> {
     })
 }
 
+/// Keys where three rows in four share one hot key: skewed enough that the
+/// adaptive exchange splits and coalesces reduce partitions.
+fn hot_or_any_key() -> impl Strategy<Value = i64> {
+    prop_oneof![3 => Just(7i64), 1 => any::<i64>()]
+}
+
 /// The exact expected output of `exchange_rows`: partition `j` holds map
 /// partition 0's rows for `j` in input order, then map partition 1's, ...
 fn reference_exchange(inputs: &[Vec<(u64, Row)>], num_out: usize) -> Vec<Vec<Row>> {
@@ -56,54 +68,29 @@ fn reference_exchange(inputs: &[Vec<(u64, Row)>], num_out: usize) -> Vec<Vec<Row
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// Exchange is a permutation: no items lost, none duplicated, and each
-    /// lands in exactly the partition its hash owns.
+    /// The adaptive exchange is a keyed permutation: no row lost, none
+    /// duplicated, each in the partition its hash owns — and, whatever its
+    /// split/coalesce plan, in exactly the reference order.
     #[test]
     fn exchange_is_a_keyed_permutation(
-        parts in proptest::collection::vec(
-            proptest::collection::vec((any::<u64>(), any::<u32>()), 0..60),
-            1..6,
-        ),
+        inputs in proptest::collection::vec(keyed_rows(60, hot_or_any_key()), 1..6),
         num_out in 1usize..9,
     ) {
         let cluster = Cluster::new(ClusterConfig::test_small());
-        let mut expected: HashMap<u32, u64> = HashMap::new();
-        let mut dup_guard = 0u64;
-        let inputs: Vec<Vec<(u64, Vec<u8>)>> = parts
-            .iter()
-            .map(|p| {
-                p.iter()
-                    .map(|(h, v)| {
-                        dup_guard += 1;
-                        expected.insert(*v, *h);
-                        (*h, v.to_le_bytes().to_vec())
-                    })
-                    .collect()
-            })
-            .collect();
-        let total_in: usize = inputs.iter().map(Vec::len).sum();
-        let out = exchange(&cluster, inputs, num_out).unwrap();
-        prop_assert_eq!(out.len(), num_out);
-        let total_out: usize = out.iter().map(Vec::len).sum();
-        prop_assert_eq!(total_out, total_in);
-        for (j, bucket) in out.iter().enumerate() {
-            for item in bucket {
-                let v = u32::from_le_bytes(item[..4].try_into().unwrap());
-                if let Some(h) = expected.get(&v) {
-                    prop_assert_eq!(partition_of(*h, num_out), j, "item in wrong partition");
-                }
-            }
-        }
+        let expected = reference_exchange(&inputs, num_out);
+        let total_in: u64 = inputs.iter().map(|p| p.len() as u64).sum();
+        let (out, stats) =
+            exchange_rows_adaptive(&cluster, &wire_schema(), inputs, num_out).unwrap();
+        prop_assert_eq!(stats.total_rows(), total_in);
+        prop_assert_eq!(out, expected);
     }
 
-    /// Exchange preserves the input multiset even when a worker is killed
-    /// while the exchange runs: lost attempts are retried on survivors.
+    /// The adaptive exchange stays exact even when a worker is killed while
+    /// it runs: lost map and reduce attempts (slices included) are retried
+    /// on survivors, and none is applied twice.
     #[test]
     fn exchange_preserves_multiset_under_worker_kill(
-        parts in proptest::collection::vec(
-            proptest::collection::vec((any::<u64>(), any::<u32>()), 0..80),
-            1..6,
-        ),
+        inputs in proptest::collection::vec(keyed_rows(80, hot_or_any_key()), 1..6),
         num_out in 1usize..7,
         victim in 0usize..3,
         delay_us in 0u64..400,
@@ -115,23 +102,15 @@ proptest! {
             max_task_attempts: 4,
             skew_ratio: 2.0,
         });
-        let inputs: Vec<Vec<(u64, Vec<u8>)>> = parts
-            .iter()
-            .map(|p| p.iter().map(|(h, v)| (*h, v.to_le_bytes().to_vec())).collect())
-            .collect();
-        let mut expected: Vec<Vec<u8>> =
-            inputs.iter().flatten().map(|(_, item)| item.clone()).collect();
+        let expected = reference_exchange(&inputs, num_out);
         let killer = cluster.clone();
         let chaos = std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_micros(delay_us));
             killer.kill_worker(victim);
         });
-        let out = exchange(&cluster, inputs, num_out).unwrap();
+        let (out, _) = exchange_rows_adaptive(&cluster, &wire_schema(), inputs, num_out).unwrap();
         chaos.join().unwrap();
-        let mut delivered: Vec<Vec<u8>> = out.into_iter().flatten().collect();
-        delivered.sort();
-        expected.sort();
-        prop_assert_eq!(delivered, expected);
+        prop_assert_eq!(out, expected);
     }
 
     /// The serialized exchange round-trips arbitrary rows exactly through
@@ -141,7 +120,7 @@ proptest! {
     /// hash owns.
     #[test]
     fn serialized_exchange_roundtrips_rows_exactly(
-        inputs in proptest::collection::vec(keyed_rows(40), 1..5),
+        inputs in proptest::collection::vec(keyed_rows(40, any::<i64>()), 1..5),
         num_out in 1usize..9,
     ) {
         let cluster = Cluster::new(ClusterConfig::test_small());
@@ -156,7 +135,7 @@ proptest! {
     /// snapshot, so even the per-partition row order is unchanged.
     #[test]
     fn serialized_exchange_exact_under_worker_kill(
-        inputs in proptest::collection::vec(keyed_rows(60), 1..5),
+        inputs in proptest::collection::vec(keyed_rows(60, any::<i64>()), 1..5),
         num_out in 1usize..7,
         victim in 0usize..3,
         delay_us in 0u64..400,
@@ -227,16 +206,30 @@ proptest! {
     }
 }
 
-/// Exchange under concurrent metric readers stays consistent.
+/// The exchange accounts every row, and exactly the wire bytes of its
+/// blocks.
 #[test]
 fn exchange_metrics_account_rows_and_bytes() {
     let cluster = Cluster::new(ClusterConfig::test_small());
-    let inputs: Vec<Vec<(u64, Vec<u8>)>> = (0..4)
-        .map(|p| (0..250u64).map(|i| (i * 31 + p, vec![0u8; 10])).collect())
+    let inputs: Vec<Vec<(u64, Row)>> = (0..4)
+        .map(|p| {
+            (0..250i64)
+                .map(|i| {
+                    let row: Row = vec![Value::Int64(i), Value::Utf8("x".repeat(10)), Value::Null];
+                    (i as u64 * 31 + p, row)
+                })
+                .collect()
+        })
         .collect();
-    let out = exchange(&cluster, inputs, 8).unwrap();
+    let codec = ShuffleCodec::new(wire_schema());
+    let wire_bytes: usize = inputs
+        .iter()
+        .flat_map(|p| codec.encode_buckets(p, 8))
+        .map(|block| block.len())
+        .sum();
+    let out = exchange_rows(&cluster, &wire_schema(), inputs, 8).unwrap();
     assert_eq!(out.iter().map(Vec::len).sum::<usize>(), 1000);
     let r = cluster.registry();
     assert_eq!(r.counter_value("shuffle.rows"), 1000);
-    assert_eq!(r.counter_value("shuffle.bytes"), 10_000);
+    assert_eq!(r.counter_value("shuffle.bytes"), wire_bytes as u64);
 }
